@@ -106,7 +106,7 @@ bench-json:
 # few seconds at a modest open-loop rate and writes LOAD_PR.json — the
 # macro health check nightly.yml runs and archives next to
 # BENCH_PR.json. A second leg replays score traffic with a warm cache
-# mix so the coalescer's memo tables see realistic duplicate pressure.
+# mix so the memo's verdict table sees realistic duplicate pressure.
 # LOAD_QPS / LOAD_DURATION / LOAD_CACHE_MIX override the defaults.
 LOAD_QPS ?= 100
 LOAD_DURATION ?= 5s
@@ -159,13 +159,14 @@ registry-check:
 
 # Allocation contracts in a non-race build: 0 allocs on the warm
 # cached-score path (flat model + pooled vectors + precomputed
-# analysis), a fixed budget on the full-extraction path, and 0 allocs
-# on the per-request admission check in the serving layer. These tests
+# analysis), a fixed budget on the full-extraction path, 0 allocs on
+# the memo's verdict-table hit, and 0 allocs on the per-request
+# admission check in the serving layer. These tests
 # skip themselves under -race (the detector's own allocations would
 # poison the counts), so the race suite alone would never run them —
 # this target is what makes the zero-alloc claims CI-enforced.
 alloc-check:
-	$(GO) test -count=1 -run Alloc ./internal/ml ./internal/features ./internal/core ./internal/serve
+	$(GO) test -count=1 -run Alloc ./internal/ml ./internal/features ./internal/core ./internal/coalesce ./internal/serve
 
 # 10-second CPU profile of a running kpserve started with the pprof
 # listener bound (kpserve -debug-addr :6060). Writes cpu.pprof; inspect

@@ -464,10 +464,12 @@ func BenchmarkTargetIdentification(b *testing.B) {
 }
 
 // BenchmarkServeScore drives the HTTP serving path end to end: one batch
-// request of mixed phish/legit pages through Server.ServeHTTP, with the
-// verdict cache disabled so every iteration does the full pipeline. The
-// workers sub-benchmarks show batch scoring scaling from serial to
-// GOMAXPROCS fan-out.
+// request of mixed phish/legit pages through Server.ServeHTTP. After the
+// first iteration every page is a memo verdict-table hit, so the
+// benchmark measures the serving layer — body decode, snapshot
+// resolution, page keys, memo lookups, encode — not the pipeline (which
+// BenchmarkCoalescedScore/memo=cold covers). The workers sub-benchmarks
+// show the batch scaling from serial to GOMAXPROCS fan-out.
 func BenchmarkServeScore(b *testing.B) {
 	r := benchSetup(b)
 	d, err := r.Detector(0)
@@ -500,7 +502,6 @@ func BenchmarkServeScore(b *testing.B) {
 				Detector:   d,
 				Identifier: target.New(r.Corpus.Engine),
 				Workers:    workers,
-				CacheSize:  -1, // measure scoring, not cache hits
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -522,13 +523,12 @@ func BenchmarkServeScore(b *testing.B) {
 	}
 }
 
-// BenchmarkCoalescedScore measures the cross-request scoring coalescer:
-// conc concurrent callers funnel into shared node-major kernel passes
-// (internal/coalesce), with the per-stage memo tables cold (disabled, so
-// every request recomputes but still batches) or warm (pre-populated, so
-// requests ride the content-addressed fast path). Per-op time is one
-// scored page. The warm sub-benchmarks are the steady-state claim:
-// repeated content must be near-free and allocation-free.
+// BenchmarkCoalescedScore measures the memo path (coalesce.Memo.Do):
+// conc concurrent callers per GOMAXPROCS scoring a 32-page set, with the
+// memo disabled (cold: every request runs the full pipeline) or warm
+// (every request is a verdict-table hit). Per-op time is one scored
+// page. The warm sub-benchmarks are the steady-state claim: repeated
+// content must be near-free and allocation-free.
 func BenchmarkCoalescedScore(b *testing.B) {
 	r := benchSetup(b)
 	d, err := r.Detector(0)
@@ -556,14 +556,14 @@ func BenchmarkCoalescedScore(b *testing.B) {
 	for _, conc := range []int{1, 8, 64} {
 		for _, mode := range []string{"cold", "warm"} {
 			b.Run(fmt.Sprintf("conc=%d/memo=%s", conc, mode), func(b *testing.B) {
-				memo := 0 // default table size
+				entries := 0 // default table size
 				if mode == "cold" {
-					memo = -1 // disabled: batching without memoization
+					entries = -1 // disabled: every request recomputes
 				}
-				coal := coalesce.New(coalesce.Config{MemoEntries: memo})
+				memo := coalesce.New(entries)
 				if mode == "warm" {
 					for _, req := range reqs {
-						if _, err := coal.Do(ctx, pipe, req, coalesce.CacheDefault, nil); err != nil {
+						if _, _, err := memo.Do(ctx, pipe, req, coalesce.CacheDefault); err != nil {
 							b.Fatal(err)
 						}
 					}
@@ -575,27 +575,22 @@ func BenchmarkCoalescedScore(b *testing.B) {
 				b.RunParallel(func(pb *testing.PB) {
 					for pb.Next() {
 						req := reqs[int(next.Add(1))%len(reqs)]
-						if _, err := coal.Do(ctx, pipe, req, coalesce.CacheDefault, nil); err != nil {
+						if _, _, err := memo.Do(ctx, pipe, req, coalesce.CacheDefault); err != nil {
 							b.Fatal(err)
 						}
 					}
 				})
-				b.StopTimer()
-				st := coal.Snapshot()
-				if st.Batches > 0 {
-					b.ReportMetric(float64(st.BatchedItems)/float64(st.Batches), "items/batch")
-				}
 			})
 		}
 	}
 }
 
-// BenchmarkMemoLookup pins the content-addressed memo fast path: one
-// fully-warm page through Coalescer.Do — content hash, sharded table
-// lookups (analysis, features, score, target) and verdict assembly,
-// with no stage recomputed. This is the per-request overhead every
-// warm request pays, so the gate holds it to microseconds and zero
-// allocations. (internal/coalesce has the table-only microbenchmark.)
+// BenchmarkMemoLookup pins the memo fast path: one page through
+// coalesce.Memo.Do that hits the verdict table — content hash, one
+// sharded table lookup and verdict assembly, with no stage recomputed.
+// This is the per-request overhead every warm request pays, so the gate
+// holds it to microseconds and zero allocations. (internal/coalesce has
+// the table-only microbenchmark.)
 func BenchmarkMemoLookup(b *testing.B) {
 	r := benchSetup(b)
 	d, err := r.Detector(0)
@@ -611,15 +606,15 @@ func BenchmarkMemoLookup(b *testing.B) {
 	}
 	req := core.NewScoreRequest(snap)
 	ctx := context.Background()
-	coal := coalesce.New(coalesce.Config{})
-	if _, err := coal.Do(ctx, pipe, req, coalesce.CacheDefault, nil); err != nil {
+	memo := coalesce.New(0)
+	if _, _, err := memo.Do(ctx, pipe, req, coalesce.CacheDefault); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := coal.Do(ctx, pipe, req, coalesce.CacheDefault, nil); err != nil {
-			b.Fatal(err)
+		if _, cached, err := memo.Do(ctx, pipe, req, coalesce.CacheDefault); err != nil || !cached {
+			b.Fatalf("warm lookup: cached=%v err=%v", cached, err)
 		}
 	}
 }

@@ -116,12 +116,8 @@ func run() error {
 		rankPath  = flag.String("ranking", "", "popularity list CSV from kpgen (optional)")
 		indexPath = flag.String("index", "", "search index JSON (optional; required with -model for target identification)")
 		workers   = flag.Int("workers", 0, "batch fan-out cap (0 = GOMAXPROCS)")
-		cacheSize = flag.Int("cache", serve.DefaultCacheSize, "verdict cache entries (negative disables)")
 		maxBatch  = flag.Int("max-batch", serve.DefaultMaxBatch, "max pages per batch or stream request")
-
-		coalesceWindow = flag.Duration("coalesce-window", coalesce.DefaultWindow, "cross-request scoring coalescer gather window (negative disables coalescing and stage memoization)")
-		coalesceMax    = flag.Int("coalesce-max", coalesce.DefaultMaxBatch, "max requests per coalesced node-major kernel pass")
-		memoSize       = flag.Int("memo-size", coalesce.DefaultMemoEntries, "entries per content-addressed stage memo table (negative disables memoization, keeps batching)")
+		memoSize  = flag.Int("memo-size", coalesce.DefaultEntries, "entries in each memo table, verdicts and page analyses (negative disables memoization)")
 		deadline  = flag.Duration("deadline", 0, "default per-request scoring deadline (0 = none; requests may set their own deadline_ms)")
 		explain   = flag.String("explain", "none", "default explain level for v2 requests: none, top or full")
 		topN      = flag.Int("explain-top", 0, "default contribution count of a 'top' explanation (0 = library default)")
@@ -263,22 +259,11 @@ func run() error {
 	}
 	identifier := target.New(engine)
 
-	// One coalescer serves every scoring path — the HTTP surface and the
-	// feed drain coalesce into the same batches and share the same memo
-	// tables, so a page seen on the feed warms interactive requests.
-	var coal *coalesce.Coalescer
-	if *coalesceWindow >= 0 {
-		coal = coalesce.New(coalesce.Config{
-			Window:      *coalesceWindow,
-			MaxBatch:    *coalesceMax,
-			MemoEntries: *memoSize,
-			Workers:     *workers,
-		})
-		logger.Info("scoring coalescer armed",
-			"window", *coalesceWindow, "max_batch", *coalesceMax, "memo_entries", *memoSize)
-	} else {
-		logger.Info("scoring coalescer disabled")
-	}
+	// One memo serves every scoring path: the HTTP surface and the feed
+	// drain share the same tables, so a page seen on the feed warms
+	// interactive requests.
+	memo := coalesce.New(*memoSize)
+	logger.Info("memo armed", "entries", *memoSize)
 
 	// The durable verdict store and the feed scheduler on top of it.
 	// Feed ingestion needs a crawl source; only the self-train path has
@@ -347,10 +332,9 @@ func run() error {
 			if lc != nil {
 				feedCfg.OnVerdict = lc.OnVerdict
 			}
-			if coal != nil {
-				feedCfg.Score = func(ctx context.Context, pipe *core.Pipeline, req core.ScoreRequest) (core.Verdict, error) {
-					return coal.Do(ctx, pipe, req, coalesce.CacheDefault, nil)
-				}
+			feedCfg.Score = func(ctx context.Context, pipe *core.Pipeline, req core.ScoreRequest) (core.Verdict, error) {
+				v, _, err := memo.Do(ctx, pipe, req, coalesce.CacheDefault)
+				return v, err
 			}
 			if sched, err = feed.New(feedCfg); err != nil {
 				return err
@@ -401,10 +385,8 @@ func run() error {
 		Lifecycle:       lc,
 		Identifier:      identifier,
 		Workers:         *workers,
-		CacheSize:       *cacheSize,
 		MaxBatch:        *maxBatch,
-		Coalescer:       coal,
-		CoalesceWindow:  *coalesceWindow,
+		Memo:            memo,
 		DefaultDeadline: *deadline,
 		DefaultExplain:  explainLevel,
 		ExplainTopN:     *topN,

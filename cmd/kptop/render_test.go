@@ -19,7 +19,10 @@ func testFrame(at time.Time) *frame {
 			Requests:      1200,
 			Errors:        3,
 			InFlight:      4,
+			CacheHits:     225,
+			CacheMisses:   225,
 			CacheHitRate:  0.5,
+			CacheEntries:  150,
 			ModelVersion:  "v0007",
 			Shed:          serve.ShedMetrics{Total: 40, Queued: 2, Level: 2},
 			Endpoints: map[string]serve.EndpointMetrics{
@@ -44,12 +47,7 @@ func testFrame(at time.Time) *frame {
 				}},
 			},
 			Coalesce: &coalesce.Stats{
-				Batches:      100,
-				BatchedItems: 450,
-				Bypassed:     7,
-				FlushFull:    20, FlushAdaptive: 70, FlushTimer: 10,
 				Analysis: coalesce.TableStats{Hits: 300, Misses: 150, Entries: 150},
-				Score:    coalesce.TableStats{Hits: 225, Misses: 225, Entries: 150},
 			},
 			Tracing: &obs.Summary{Stages: []obs.StageSummary{
 				{Stage: "score", Count: 1100, Windows: []obs.WindowSummary{
@@ -84,12 +82,8 @@ func TestRenderFrame(t *testing.T) {
 		"2.4ms", // score 1m p99
 		"shed_level",
 		"admission shed level 0 -> 2",
-		"batches 100",
-		"items 450 (avg 4.5)",
-		"flush full/adaptive/timer 20/70/10",
+		"verdict  50% (150)",
 		"analysis  67% (150)",
-		"score  50% (150)",
-		"features -",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("frame missing %q\n%s", want, out)

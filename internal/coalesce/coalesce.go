@@ -1,37 +1,27 @@
-// Package coalesce implements cross-request micro-batched scoring with
-// content-addressed per-stage memoization.
+// Package coalesce memoizes scoring by page identity.
 //
-// Concurrent score calls are gathered for a bounded window and scored
-// in one node-major traversal of the flattened ensemble
-// (core.Pipeline.ScoreCoalesced), so the model's nodes stream through
-// the cache once per batch instead of once per request. Batching is a
-// scheduling change only: scores are bit-for-bit identical to
-// per-request AnalyzeCtx calls.
+// Two sharded LRU tables are keyed by webpage.ContentKey, the 128-bit
+// XXH64 key over a page's landing URL and content:
 //
-// Layered on top, four sharded LRU tables memoize the pipeline stages
-// independently, keyed by the page's 128-bit content fingerprint
-// (webpage.ContentKey): snapshot analysis and the extracted feature
-// vector are model-independent and survive model promotion; the
-// detector score and the target-identification result are stamped with
-// the model version and invalidated when a new champion is promoted.
+//   - the verdict table holds finished outcomes, each stamped with the
+//     model version that produced it and the page's hex key (the v2
+//     ETag's content half). Hits are version-gated, and the table is
+//     flushed when a new champion is promoted;
+//   - the analysis table holds page analyses. Analysis is
+//     model-independent, so these entries survive promotion.
 //
-// The coalescer has no background goroutine: the first request to open
-// a batch becomes its leader, waits out the window (or until the batch
-// fills, or until every in-flight submitter has joined — the adaptive
-// flush that keeps a lone request from paying the window as latency),
-// runs the batched kernel, and wakes the followers.
+// A verdict-table miss scores through core.Pipeline.AnalyzeCtx, with a
+// memoized analysis supplied by core.WithAnalysis: the core stage
+// machine is the only one. The package name is historical; nothing is
+// batched across requests.
 package coalesce
 
 import (
 	"context"
 	"encoding/hex"
 	"errors"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"knowphish/internal/core"
-	"knowphish/internal/target"
 	"knowphish/internal/webpage"
 )
 
@@ -42,7 +32,7 @@ const (
 	// CacheDefault reads and writes the memo tables.
 	CacheDefault CacheControl = iota
 	// CacheNoMemo neither reads nor writes: the request computes every
-	// stage and leaves no trace (batching still applies).
+	// stage and leaves no trace.
 	CacheNoMemo
 	// CacheRefresh recomputes every stage and overwrites the memos —
 	// write-only, the forced-revalidation mode.
@@ -76,173 +66,49 @@ func ParseCacheControl(s string) (CacheControl, error) {
 	}
 }
 
-// Defaults applied by New for zero Config fields.
-const (
-	// DefaultWindow is the coalescing window: how long a batch leader
-	// waits for company before scoring what it has.
-	DefaultWindow = 200 * time.Microsecond
-	// DefaultMaxBatch caps one coalesced pass.
-	DefaultMaxBatch = 64
-	// DefaultMemoEntries is each memo table's capacity.
-	DefaultMemoEntries = 1 << 16
-)
+// DefaultEntries is each table's capacity when New is given 0.
+const DefaultEntries = 1 << 16
 
-// Config configures a Coalescer.
-type Config struct {
-	// Window bounds how long a batch leader waits for more requests.
-	// 0 means DefaultWindow; negative means never wait (each flush
-	// takes only the requests already queued).
-	Window time.Duration
-	// MaxBatch caps the items of one coalesced pass (0 = DefaultMaxBatch).
-	MaxBatch int
-	// MemoEntries is the capacity of each of the four stage tables
-	// (0 = DefaultMemoEntries; negative disables memoization — the
-	// coalescer still batches).
-	MemoEntries int
-	// Workers bounds the per-batch fan-out of the analysis and target
-	// stages (0 = GOMAXPROCS).
-	Workers int
-}
-
-// Stats is a point-in-time snapshot of coalescer activity.
+// Stats is a point-in-time snapshot of the memo tables. The serving
+// layer exports the verdict table as its cache_* counters, so only the
+// analysis table appears under this document's own JSON name.
 type Stats struct {
-	// Batches is the number of coalesced passes run.
-	Batches uint64 `json:"batches"`
-	// BatchedItems is the total requests scored through passes; divided
-	// by Batches it gives the mean batch size.
-	BatchedItems uint64 `json:"batched_items"`
-	// FlushFull / FlushAdaptive / FlushTimer count passes by trigger:
-	// batch hit MaxBatch, every in-flight submitter had joined, or the
-	// window expired.
-	FlushFull     uint64 `json:"flush_full"`
-	FlushAdaptive uint64 `json:"flush_adaptive"`
-	FlushTimer    uint64 `json:"flush_timer"`
-	// Bypassed counts requests routed around the coalescer (explain or
-	// feature-masked requests, which are per-request by nature).
-	Bypassed uint64 `json:"bypassed"`
-
+	Verdict  TableStats `json:"-"`
 	Analysis TableStats `json:"analysis"`
-	Features TableStats `json:"features"`
-	Score    TableStats `json:"score"`
-	Target   TableStats `json:"target"`
 }
 
-// analysisEntry memoizes the analysis stage. fp carries the hex content
-// fingerprint so warm requests reuse one string forever instead of
-// re-encoding it.
+// verdictEntry is one memoized outcome. fp is the hex form of the key,
+// kept so warm requests reuse one string instead of re-encoding it.
+type verdictEntry struct {
+	out core.Outcome
+	ver string
+	fp  string
+}
+
+// analysisEntry is one memoized page analysis.
 type analysisEntry struct {
 	a  *webpage.Analysis
 	fp string
 }
 
-// scoreEntry memoizes the detector score for one model version.
-type scoreEntry struct {
-	score float64
-	ver   string
-	fp    string
-}
-
-// targetEntry memoizes the target-identification result of a detector
-// positive for one model version. The result is held by pointer —
-// allocated once at insert, shared read-only by every hit — so a warm
-// lookup never copies it onto the heap.
-type targetEntry struct {
-	res *target.Result
-	ver string
-}
-
-// item is one request inside the batching machinery; pooled, with a
-// reusable wake channel.
-type item struct {
-	ci      core.CoalesceItem
-	pipe    *core.Pipeline
-	done    chan struct{}
-	grouped bool
-}
-
-// batch is one open coalescing window; pooled by its leader.
-type batch struct {
-	items    []*item
-	sealed   bool
-	reason   uint8
-	sealedCh chan struct{} // capacity 1: a follower sealing wakes the leader
-	timer    *time.Timer
-	kernel   []*core.CoalesceItem // scratch for the grouped kernel call
-}
-
-const (
-	reasonFull = iota
-	reasonAdaptive
-	reasonTimer
-)
-
-// Coalescer batches concurrent scoring calls and memoizes their stages.
-// The zero value is not usable; build one with New. A nil *Coalescer is
-// valid and degrades Do to a plain AnalyzeCtx call.
-type Coalescer struct {
-	window   time.Duration
-	maxBatch int
-	workers  int
-
-	mu       sync.Mutex
-	cur      *batch
-	inflight atomic.Int64 // Do calls not yet part of a sealed batch
-
-	itemPool  sync.Pool
-	batchPool sync.Pool
-
+// Memo is the verdict table and the analysis table. Build one with New.
+// A nil *Memo is valid: Do then scores every request directly.
+type Memo struct {
+	verdict  *memoTable[verdictEntry]
 	analysis *memoTable[analysisEntry]
-	features *memoTable[[]float64]
-	score    *memoTable[scoreEntry]
-	target   *memoTable[targetEntry]
-
-	batches       atomic.Uint64
-	batchedItems  atomic.Uint64
-	flushFull     atomic.Uint64
-	flushAdaptive atomic.Uint64
-	flushTimer    atomic.Uint64
-	bypassed      atomic.Uint64
 }
 
-// New builds a Coalescer from cfg (zero fields take the package
-// defaults).
-func New(cfg Config) *Coalescer {
-	if cfg.Window == 0 {
-		cfg.Window = DefaultWindow
+// New builds a Memo whose tables hold entries each (0 = DefaultEntries).
+// A negative size disables both tables: every request then behaves as
+// CacheNoMemo, still carrying its content fingerprint.
+func New(entries int) *Memo {
+	if entries == 0 {
+		entries = DefaultEntries
 	}
-	if cfg.Window < 0 {
-		cfg.Window = 0
+	return &Memo{
+		verdict:  newMemoTable[verdictEntry](entries),
+		analysis: newMemoTable[analysisEntry](entries),
 	}
-	if cfg.MaxBatch <= 0 {
-		cfg.MaxBatch = DefaultMaxBatch
-	}
-	memo := cfg.MemoEntries
-	if memo == 0 {
-		memo = DefaultMemoEntries
-	}
-	c := &Coalescer{
-		window:   cfg.Window,
-		maxBatch: cfg.MaxBatch,
-		workers:  cfg.Workers,
-		analysis: newMemoTable[analysisEntry](memo),
-		features: newMemoTable[[]float64](memo),
-		score:    newMemoTable[scoreEntry](memo),
-		target:   newMemoTable[targetEntry](memo),
-	}
-	c.itemPool.New = func() any { return &item{done: make(chan struct{}, 1)} }
-	c.batchPool.New = func() any {
-		t := time.NewTimer(time.Hour)
-		if !t.Stop() {
-			<-t.C
-		}
-		return &batch{
-			items:    make([]*item, 0, c.maxBatch),
-			sealedCh: make(chan struct{}, 1),
-			timer:    t,
-			kernel:   make([]*core.CoalesceItem, 0, c.maxBatch),
-		}
-	}
-	return c
 }
 
 // Fingerprint returns the hex form of a content key, as exposed in
@@ -256,305 +122,155 @@ func Fingerprint(k webpage.Key128) string {
 	return hex.EncodeToString(b[:])
 }
 
-// Do scores one request through the coalescer: memo lookups, batched
-// kernel, memo write-back. The verdict is identical to what
-// pipe.AnalyzeCtx would produce, with ContentFingerprint set; when prov
-// is non-nil it is filled with each stage's provenance (memo vs
-// computed; empty for stages that did not run).
+// page returns the snapshot a request scores (nil when it has none).
+func page(req *core.ScoreRequest) *webpage.Snapshot {
+	if req.Snapshot != nil {
+		return req.Snapshot
+	}
+	if a := req.PrecomputedAnalysis(); a != nil {
+		return a.Snap
+	}
+	return nil
+}
+
+// Do scores one request through the memo tables and reports whether
+// the verdict was served whole from the verdict table. The verdict's
+// Outcome is identical to what pipe.AnalyzeCtx produces, and it always
+// carries ContentFingerprint. A computed verdict also carries its
+// per-stage provenance in Verdict.Memo.
 //
-// Explain and feature-masked requests are per-request by nature and are
-// transparently routed to pipe.AnalyzeCtx. A nil receiver routes
-// everything there — callers need no "is coalescing on" branches.
-func (c *Coalescer) Do(ctx context.Context, pipe *core.Pipeline, req core.ScoreRequest, cc CacheControl, prov *core.MemoProvenance) (core.Verdict, error) {
-	if c == nil || req.Explains() || req.FeatureMask() != 0 {
-		if c != nil {
-			c.bypassed.Add(1)
-		}
-		return pipe.AnalyzeCtx(ctx, req)
+// The read and write rules:
+//   - CacheNoMemo touches neither table; CacheRefresh writes both and
+//     reads neither; CacheDefault reads and writes both.
+//   - Explain requests never read the verdict table (a cached outcome
+//     has no evidence) but still write it.
+//   - skip_target requests read the verdict table but never write it:
+//     their verdicts lack the false-positive-removal pass.
+//   - Pages without a landing URL never enter the verdict table, and
+//     feature-masked requests are treated as CacheNoMemo (an ablated
+//     score is not the page's verdict).
+//   - A verdict-table hit on a vector-capture request extracts the
+//     vector from the memoized analysis; identification never reruns.
+func (m *Memo) Do(ctx context.Context, pipe *core.Pipeline, req core.ScoreRequest, cc CacheControl) (core.Verdict, bool, error) {
+	if snap := page(&req); m != nil && snap != nil {
+		return m.DoKey(ctx, pipe, req, cc, webpage.ContentKey(snap))
 	}
-	snap := req.Snapshot
-	if snap == nil {
-		if a := req.PrecomputedAnalysis(); a != nil {
-			snap = a.Snap
-		}
-	}
-	if snap == nil {
-		return core.Verdict{}, core.ErrNoSnapshot
-	}
-	if d := req.Deadline(); d > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, d)
-		defer cancel()
-	}
-
-	// Count this call in-flight before the hash and memo lookups, not
-	// at submission: the adaptive flush asks "is anyone else on their
-	// way to this batch?", and a request spending microseconds hashing
-	// its snapshot is exactly the company worth waiting for.
-	c.inflight.Add(1)
-
-	key := webpage.ContentKey(snap)
-	ver := pipe.Detector.Version()
-	reads := cc == CacheDefault
-	writes := cc != CacheNoMemo
-
-	it := c.itemPool.Get().(*item)
-	it.pipe = pipe
-	it.grouped = false
-	it.ci = core.CoalesceItem{Ctx: ctx, Req: req}
-
-	fp := ""
-	if reads {
-		if e, ok := c.analysis.Get(key); ok {
-			it.ci.Analysis, fp = e.a, e.fp
-		}
-		if v, ok := c.features.Get(key); ok {
-			it.ci.Vector = v
-		}
-		if e, ok := c.score.Get(key); ok && e.ver == ver {
-			it.ci.HasScore, it.ci.Score = true, e.score
-			if fp == "" {
-				fp = e.fp
-			}
-		}
-		if e, ok := c.target.Get(key); ok && e.ver == ver {
-			it.ci.TargetResult = e.res
-		}
-	}
-	// Keep the extracted vector on the heap when someone will outlive
-	// the pass with it: the caller (vector capture) or the feature memo.
-	memoWantsVector := writes && c.features != nil && it.ci.Vector == nil
-	it.ci.KeepVector = req.CapturesVector() || memoWantsVector
-
-	c.submit(it)
-
-	v, err := it.ci.Verdict, it.ci.Err
-	computed := it.ci.Computed
-	if err == nil {
-		if fp == "" {
-			fp = Fingerprint(key)
-		}
-		v.ContentFingerprint = fp
-		if writes {
-			if computed&core.StageMaskAnalysis != 0 && it.ci.Analysis != nil {
-				c.analysis.Put(key, analysisEntry{a: it.ci.Analysis, fp: fp})
-			}
-			if computed&core.StageMaskFeatures != 0 && it.ci.Vector != nil {
-				c.features.Put(key, it.ci.Vector)
-			}
-			if computed&core.StageMaskScore != 0 {
-				c.score.Put(key, scoreEntry{score: v.Score, ver: v.ModelVersion, fp: fp})
-			}
-			if computed&core.StageMaskTarget != 0 && v.TargetRun {
-				res := v.Target
-				c.target.Put(key, targetEntry{res: &res, ver: v.ModelVersion})
-			}
-		}
-		if prov != nil {
-			*prov = core.MemoProvenance{}
-			switch {
-			case computed&core.StageMaskAnalysis != 0:
-				prov.Analysis = core.ProvComputed
-			case it.ci.Analysis != nil:
-				prov.Analysis = core.ProvMemo
-			}
-			switch {
-			case computed&core.StageMaskFeatures != 0:
-				prov.Features = core.ProvComputed
-			case it.ci.Vector != nil && !it.ci.HasScore:
-				prov.Features = core.ProvMemo
-			}
-			if it.ci.HasScore {
-				prov.Score = core.ProvMemo
-			} else if computed&core.StageMaskScore != 0 {
-				prov.Score = core.ProvComputed
-			}
-			if v.TargetRun {
-				if computed&core.StageMaskTarget != 0 {
-					prov.Target = core.ProvComputed
-				} else {
-					prov.Target = core.ProvMemo
-				}
-			}
-		}
-	}
-	c.itemPool.Put(it)
-	return v, err
+	v, err := pipe.AnalyzeCtx(ctx, req)
+	return v, false, err
 }
 
-// submit places it into the open batch, leading a new one if none is
-// open, and returns once the item has been scored.
-func (c *Coalescer) submit(it *item) {
-	c.mu.Lock()
-	b := c.cur
-	leader := false
-	if b == nil {
-		b = c.batchPool.Get().(*batch)
-		b.items = b.items[:0]
-		b.sealed = false
-		c.cur = b
-		leader = true
+// DoKey is Do for a caller that already holds the page's content key
+// (the v1 batch path, which dedupes on it).
+func (m *Memo) DoKey(ctx context.Context, pipe *core.Pipeline, req core.ScoreRequest, cc CacheControl, key webpage.Key128) (core.Verdict, bool, error) {
+	snap := page(&req)
+	if m == nil || snap == nil {
+		v, err := pipe.AnalyzeCtx(ctx, req)
+		return v, false, err
 	}
-	b.items = append(b.items, it)
-	n := len(b.items)
-	if n >= c.maxBatch {
-		c.sealLocked(b, reasonFull)
-	} else if c.window == 0 || c.inflight.Load() == int64(n) {
-		// Everyone currently submitting is already in this batch:
-		// waiting longer can only add latency, never company.
-		c.sealLocked(b, reasonAdaptive)
+	if req.FeatureMask() != 0 {
+		cc = CacheNoMemo
 	}
-	sealed := b.sealed
-	c.mu.Unlock()
+	useVerdicts := cc != CacheNoMemo && snap.LandingURL != ""
+	if useVerdicts && cc == CacheDefault && !req.Explains() {
+		ver := pipe.Detector.Version()
+		e, ok := m.verdict.Get(key)
+		ok = ok && e.ver == ver
+		m.verdict.record(ok)
+		if ok {
+			v := core.MakeVerdict(e.out, pipe.Detector.Threshold())
+			v.ModelVersion, v.ContentFingerprint = ver, e.fp
+			if req.CapturesVector() {
+				vec, err := m.vector(ctx, pipe, snap, key, e.fp)
+				if err != nil {
+					return core.Verdict{}, false, err
+				}
+				v.Vector = vec
+			}
+			return v, true, nil
+		}
+	}
 
-	if !leader {
-		<-it.done
+	prov := core.MemoProvenance{Analysis: core.ProvComputed}
+	var fp string
+	if req.PrecomputedAnalysis() == nil && cc == CacheDefault {
+		e, ok := m.analysis.Get(key)
+		m.analysis.record(ok)
+		if ok {
+			req = withAnalysis(req, e.a)
+			fp, prov.Analysis = e.fp, core.ProvMemo
+		}
+	}
+	v, err := pipe.AnalyzeCtx(ctx, req)
+	if err != nil {
+		return v, false, err
+	}
+	if fp == "" {
+		fp = Fingerprint(key)
+	}
+	v.ContentFingerprint = fp
+	if cc != CacheNoMemo {
+		if prov.Analysis == core.ProvComputed {
+			m.analysis.Put(key, analysisEntry{a: v.Analysis(), fp: fp})
+		}
+		if useVerdicts && !req.SkipsTarget() {
+			m.verdict.Put(key, verdictEntry{out: v.Outcome, ver: v.ModelVersion, fp: fp})
+		}
+	}
+	prov.Features, prov.Score = core.ProvComputed, core.ProvComputed
+	if v.TargetRun {
+		prov.Target = core.ProvComputed
+	}
+	v.Memo = &prov
+	return v, false, nil
+}
+
+// vector extracts the feature vector of a page whose verdict was a
+// table hit, from the memoized analysis when there is one. Detector-only
+// scoring (ScoreCtx) never runs target identification.
+func (m *Memo) vector(ctx context.Context, pipe *core.Pipeline, snap *webpage.Snapshot, key webpage.Key128, fp string) ([]float64, error) {
+	req := core.NewScoreRequest(snap, core.WithVectorCapture())
+	e, ok := m.analysis.Get(key)
+	m.analysis.record(ok)
+	if ok {
+		req = withAnalysis(req, e.a)
+	}
+	v, err := pipe.Detector.ScoreCtx(ctx, req)
+	if err != nil {
+		return nil, err
+	}
+	if !ok {
+		m.analysis.Put(key, analysisEntry{a: v.Analysis(), fp: fp})
+	}
+	return v.Vector, nil
+}
+
+// withAnalysis returns req carrying a precomputed analysis. It is a
+// separate function so that taking the request's address here does not
+// move Do's own request onto the heap on the warm path.
+func withAnalysis(req core.ScoreRequest, a *webpage.Analysis) core.ScoreRequest {
+	core.WithAnalysis(a)(&req)
+	return req
+}
+
+// Enabled reports whether the tables exist (New was not given a
+// negative size).
+func (m *Memo) Enabled() bool { return m != nil && m.verdict != nil }
+
+// InvalidateModel flushes the verdict table — the promotion hook. The
+// analysis table is model-independent and survives. Verdict entries are
+// also version-stamped, so a write racing the flush cannot serve a
+// stale outcome under the new champion.
+func (m *Memo) InvalidateModel() {
+	if m == nil {
 		return
 	}
-	if !sealed {
-		b.timer.Reset(c.window)
-		select {
-		case <-b.sealedCh:
-			if !b.timer.Stop() {
-				<-b.timer.C
-			}
-		case <-b.timer.C:
-			c.mu.Lock()
-			if !b.sealed {
-				c.sealLocked(b, reasonTimer)
-			}
-			c.mu.Unlock()
-		}
-	}
-	// Drain the seal token (present unless the timer path sealed).
-	select {
-	case <-b.sealedCh:
-	default:
-	}
-	c.lead(b, it)
-	c.batchPool.Put(b)
+	m.verdict.Flush()
 }
 
-// sealLocked closes b to new items (c.mu held). The submitters it
-// contains leave the in-flight gauge: they can no longer join anything.
-func (c *Coalescer) sealLocked(b *batch, reason uint8) {
-	if b.sealed {
-		return
-	}
-	b.sealed = true
-	b.reason = reason
-	c.inflight.Add(int64(-len(b.items)))
-	if c.cur == b {
-		c.cur = nil
-	}
-	select {
-	case b.sealedCh <- struct{}{}:
-	default:
-	}
-}
-
-// errBatchPanic marks followers' items when the leader's kernel pass
-// panicked before writing their verdicts.
-var errBatchPanic = errors.New("coalesce: batch aborted by a panicking batchmate")
-
-// lead runs the sealed batch's kernel pass and wakes the followers —
-// even on panic, so a kernel bug surfaces on the leader's goroutine
-// (where the server's per-request recover contains it) instead of
-// hanging every follower.
-func (c *Coalescer) lead(b *batch, own *item) {
-	defer func() {
-		if r := recover(); r != nil {
-			for _, o := range b.items {
-				// Only items the pass never finished: a completed
-				// batchmate keeps its verdict.
-				if o != own && o.ci.Err == nil && o.ci.Verdict.Label == "" {
-					o.ci.Err = errBatchPanic
-				}
-			}
-			wakeFollowers(b, own)
-			panic(r)
-		}
-		wakeFollowers(b, own)
-	}()
-
-	c.batches.Add(1)
-	c.batchedItems.Add(uint64(len(b.items)))
-	switch b.reason {
-	case reasonFull:
-		c.flushFull.Add(1)
-	case reasonAdaptive:
-		c.flushAdaptive.Add(1)
-	default:
-		c.flushTimer.Add(1)
-	}
-
-	// One kernel pass per distinct pipeline: a promotion landing
-	// mid-window means neighbors in one batch may score under different
-	// champions, and each must score under its own.
-	for i := range b.items {
-		if b.items[i].grouped {
-			continue
-		}
-		pipe := b.items[i].pipe
-		b.kernel = b.kernel[:0]
-		for j := i; j < len(b.items); j++ {
-			if o := b.items[j]; !o.grouped && o.pipe == pipe {
-				o.grouped = true
-				b.kernel = append(b.kernel, &o.ci)
-			}
-		}
-		// The batch context is deliberately background: one item's
-		// cancellation must never cut down its batchmates. Per-item
-		// contexts ride on each CoalesceItem.
-		if err := pipe.ScoreCoalesced(context.Background(), b.kernel, c.workers); err != nil {
-			for _, ci := range b.kernel {
-				if ci.Err == nil {
-					ci.Err = err
-				}
-			}
-		}
-	}
-}
-
-// wakeFollowers releases every batch member except the leader's own
-// item. The buffered send cannot block: each item waits for exactly one
-// token per pass.
-func wakeFollowers(b *batch, own *item) {
-	for _, o := range b.items {
-		if o != own {
-			o.done <- struct{}{}
-		}
-	}
-}
-
-// InvalidateModel flushes the model-dependent memo tables (detector
-// score, target result) — the promotion hook. Analysis and feature
-// memos are model-independent and survive. Entries are additionally
-// version-stamped, so even a read racing the flush cannot resurrect a
-// stale score under the new champion.
-func (c *Coalescer) InvalidateModel() {
-	if c == nil {
-		return
-	}
-	c.score.Flush()
-	c.target.Flush()
-}
-
-// Snapshot returns current counters.
-func (c *Coalescer) Snapshot() Stats {
-	if c == nil {
+// Snapshot returns the tables' current counters.
+func (m *Memo) Snapshot() Stats {
+	if m == nil {
 		return Stats{}
 	}
-	return Stats{
-		Batches:       c.batches.Load(),
-		BatchedItems:  c.batchedItems.Load(),
-		FlushFull:     c.flushFull.Load(),
-		FlushAdaptive: c.flushAdaptive.Load(),
-		FlushTimer:    c.flushTimer.Load(),
-		Bypassed:      c.bypassed.Load(),
-		Analysis:      c.analysis.stats(),
-		Features:      c.features.stats(),
-		Score:         c.score.stats(),
-		Target:        c.target.stats(),
-	}
+	return Stats{Verdict: m.verdict.stats(), Analysis: m.analysis.stats()}
 }

@@ -3,6 +3,9 @@ package coalesce
 import (
 	"context"
 	"errors"
+	"fmt"
+	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -68,17 +71,16 @@ func mixedSnaps(t testing.TB, n int) []*webpage.Snapshot {
 	return out
 }
 
-// TestDoMatchesAnalyzeCtx pins the whole coalescer — batching plus
-// memoization, cold and warm — to per-request AnalyzeCtx verdicts.
+// TestDoMatchesAnalyzeCtx pins the memo, cold and warm, to per-request
+// AnalyzeCtx outcomes.
 func TestDoMatchesAnalyzeCtx(t *testing.T) {
 	_, pipe := fixtures(t)
-	c := New(Config{})
+	m := New(0)
 	ctx := context.Background()
 	snaps := mixedSnaps(t, 20)
 	for round := 0; round < 3; round++ { // round 0 cold, 1-2 warm
 		for i, snap := range snaps {
-			var prov core.MemoProvenance
-			got, err := c.Do(ctx, pipe, core.NewScoreRequest(snap), CacheDefault, &prov)
+			got, cached, err := m.Do(ctx, pipe, core.NewScoreRequest(snap), CacheDefault)
 			if err != nil {
 				t.Fatalf("round %d snap %d: %v", round, i, err)
 			}
@@ -86,34 +88,38 @@ func TestDoMatchesAnalyzeCtx(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got.Score != want.Score || got.FinalPhish != want.FinalPhish ||
-				got.Label != want.Label || got.TargetRun != want.TargetRun {
-				t.Fatalf("round %d snap %d: coalesced %+v != direct %+v", round, i, got.Outcome, want.Outcome)
+			if !outcomeEqual(got.Outcome, want.Outcome) || got.Label != want.Label {
+				t.Fatalf("round %d snap %d: memo %+v != direct %+v", round, i, got.Outcome, want.Outcome)
 			}
 			if got.ContentFingerprint == "" {
 				t.Fatalf("round %d snap %d: no content fingerprint", round, i)
 			}
-			if round > 0 && prov.Score != core.ProvMemo {
-				t.Fatalf("round %d snap %d: warm score provenance %q, want memo", round, i, prov.Score)
+			if cached != (round > 0) {
+				t.Fatalf("round %d snap %d: cached = %v", round, i, cached)
 			}
 		}
 	}
-	st := c.Snapshot()
-	if st.Score.Hits == 0 || st.Analysis.Hits == 0 {
-		t.Fatalf("warm rounds produced no memo hits: %+v", st)
+	if st := m.Snapshot(); st.Verdict.Hits != 40 || st.Analysis.Misses != 20 {
+		t.Fatalf("warm rounds: %+v, want 40 verdict hits and 20 analysis misses", st)
 	}
 }
 
-// TestFingerprintStableAcrossPaths pins that the fingerprint is pure
-// content: same page, any cache-control, any temperature — one value.
+// outcomeEqual compares outcomes bit for bit, target result included.
+func outcomeEqual(a, b core.Outcome) bool {
+	return a.Score == b.Score && a.DetectorPhish == b.DetectorPhish && a.TargetRun == b.TargetRun &&
+		a.FinalPhish == b.FinalPhish && reflect.DeepEqual(a.Target, b.Target)
+}
+
+// TestFingerprintStableAcrossPaths pins that the fingerprint is the
+// page key: same page, any cache-control, any temperature — one value.
 func TestFingerprintStableAcrossPaths(t *testing.T) {
 	_, pipe := fixtures(t)
-	c := New(Config{})
+	m := New(0)
 	ctx := context.Background()
 	snap := mixedSnaps(t, 1)[0]
 	want := Fingerprint(webpage.ContentKey(snap))
 	for _, cc := range []CacheControl{CacheDefault, CacheNoMemo, CacheRefresh, CacheDefault} {
-		v, err := c.Do(ctx, pipe, core.NewScoreRequest(snap), cc, nil)
+		v, _, err := m.Do(ctx, pipe, core.NewScoreRequest(snap), cc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,96 +129,146 @@ func TestFingerprintStableAcrossPaths(t *testing.T) {
 	}
 }
 
-// TestCacheControlSemantics pins the three modes: no-memo neither reads
-// nor writes, refresh recomputes but overwrites, default reads.
+// positive returns a corpus page the fixture detector flags, so target
+// identification runs on it.
+func positive(t *testing.T) *webpage.Snapshot {
+	t.Helper()
+	c, pipe := fixtures(t)
+	for _, ex := range c.PhishTest.Examples {
+		v, err := pipe.AnalyzeCtx(context.Background(), core.NewScoreRequest(ex.Snapshot))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v.TargetRun {
+			return ex.Snapshot
+		}
+	}
+	t.Fatal("no detector positive in the corpus")
+	return nil
+}
+
+// TestCacheControlSemantics pins the memo's read and write rules for
+// every combination of cache_control, explain, skip_target and vector
+// capture. Reads are observed against tables warmed by a default
+// request; writes against empty tables.
 func TestCacheControlSemantics(t *testing.T) {
 	_, pipe := fixtures(t)
 	ctx := context.Background()
-	snap := mixedSnaps(t, 1)[0]
-
-	c := New(Config{})
-	if _, err := c.Do(ctx, pipe, core.NewScoreRequest(snap), CacheNoMemo, nil); err != nil {
-		t.Fatal(err)
-	}
-	if n := c.Snapshot().Analysis.Entries; n != 0 {
-		t.Fatalf("no-memo wrote %d analysis entries, want 0", n)
-	}
-
-	var prov core.MemoProvenance
-	if _, err := c.Do(ctx, pipe, core.NewScoreRequest(snap), CacheDefault, &prov); err != nil {
-		t.Fatal(err)
-	}
-	if prov.Score != core.ProvComputed {
-		t.Fatalf("first default score provenance %q, want computed", prov.Score)
-	}
-	if n := c.Snapshot().Score.Entries; n != 1 {
-		t.Fatalf("default wrote %d score entries, want 1", n)
-	}
-
-	// Refresh must recompute even though the memo is populated...
-	if _, err := c.Do(ctx, pipe, core.NewScoreRequest(snap), CacheRefresh, &prov); err != nil {
-		t.Fatal(err)
-	}
-	if prov.Score != core.ProvComputed || prov.Analysis != core.ProvComputed {
-		t.Fatalf("refresh provenance %+v, want all computed", prov)
-	}
-	// ...and a following default read hits what refresh wrote.
-	if _, err := c.Do(ctx, pipe, core.NewScoreRequest(snap), CacheDefault, &prov); err != nil {
-		t.Fatal(err)
-	}
-	if prov.Score != core.ProvMemo {
-		t.Fatalf("post-refresh score provenance %q, want memo", prov.Score)
-	}
-}
-
-// TestInvalidateModelOnPromotion pins the promotion contract: score and
-// target memos flush, analysis and feature memos survive; and a version
-// bump alone (without the flush) already prevents stale hits.
-func TestInvalidateModelOnPromotion(t *testing.T) {
-	corp, pipe := fixtures(t)
-	ctx := context.Background()
-	c := New(Config{})
-	snaps := mixedSnaps(t, 8)
-	for _, snap := range snaps {
-		if _, err := c.Do(ctx, pipe, core.NewScoreRequest(snap), CacheDefault, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	before := c.Snapshot()
-	if before.Score.Entries == 0 || before.Analysis.Entries == 0 || before.Target.Entries == 0 {
-		t.Fatalf("fixture produced empty tables: %+v", before)
-	}
-
-	// Promote: new detector (different version), flush hook fires.
-	snaps2 := append(corp.LegTrain.Snapshots(), corp.PhishTrain.Snapshots()...)
-	labels2 := append(corp.LegTrain.Labels(), corp.PhishTrain.Labels()...)
-	d2, err := core.Train(snaps2, labels2, core.TrainConfig{
-		Rank: corp.World.Ranking(),
-		GBM:  ml.GBMConfig{Trees: 30, MaxDepth: 3, Seed: 9},
-	})
+	snap := positive(t)
+	key := webpage.ContentKey(snap)
+	want, err := pipe.AnalyzeCtx(ctx, core.NewScoreRequest(snap, core.WithVectorCapture()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	d2.SetVersion("m2")
-	pipe2 := &core.Pipeline{Detector: d2, Identifier: pipe.Identifier}
-	c.InvalidateModel()
 
-	after := c.Snapshot()
-	if after.Score.Entries != 0 || after.Target.Entries != 0 {
-		t.Fatalf("promotion left %d score / %d target entries, want 0/0", after.Score.Entries, after.Target.Entries)
+	for _, cc := range []CacheControl{CacheDefault, CacheNoMemo, CacheRefresh} {
+		for _, explain := range []bool{false, true} {
+			for _, skip := range []bool{false, true} {
+				for _, capture := range []bool{false, true} {
+					var opts []core.ScoreOption
+					if explain {
+						opts = append(opts, core.WithExplain(core.ExplainTop))
+					}
+					if skip {
+						opts = append(opts, core.WithoutTargetID())
+					}
+					if capture {
+						opts = append(opts, core.WithVectorCapture())
+					}
+					req := core.NewScoreRequest(snap, opts...)
+					name := fmt.Sprintf("%v/explain=%v/skip=%v/capture=%v", cc, explain, skip, capture)
+					readsVerdict := cc == CacheDefault && !explain
+					readsAnalysis := cc == CacheDefault
+					writesVerdict := cc != CacheNoMemo && !skip
+					writesAnalysis := cc != CacheNoMemo
+
+					warm := New(0)
+					if _, _, err := warm.Do(ctx, pipe, core.NewScoreRequest(snap), CacheDefault); err != nil {
+						t.Fatal(err)
+					}
+					before := warm.Snapshot().Analysis
+					v, cached, err := warm.Do(ctx, pipe, req, cc)
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					if cached != readsVerdict {
+						t.Errorf("%s: cached = %v, want %v", name, cached, readsVerdict)
+					}
+					if !cached {
+						memo := v.Memo != nil && v.Memo.Analysis == core.ProvMemo
+						if memo != readsAnalysis {
+							t.Errorf("%s: analysis from memo = %v, want %v", name, memo, readsAnalysis)
+						}
+					}
+					if v.Score != want.Score || (!skip || cached) && !outcomeEqual(v.Outcome, want.Outcome) {
+						t.Errorf("%s: outcome %+v, want %+v", name, v.Outcome, want.Outcome)
+					}
+					if capture && !slices.Equal(v.Vector, want.Vector) {
+						t.Errorf("%s: captured vector differs from the cold extraction", name)
+					}
+					if cached && capture {
+						// The new case: a verdict-table hit extracts the
+						// vector from the memoized analysis and never
+						// reruns identification.
+						after := warm.Snapshot().Analysis
+						if after.Hits != before.Hits+1 || after.Misses != before.Misses {
+							t.Errorf("%s: vector not extracted from the memoized analysis: %+v -> %+v", name, before, after)
+						}
+						if v.Timings.TargetNS != 0 || v.Timings.AnalyzeNS != 0 {
+							t.Errorf("%s: hit reran stages: %+v", name, v.Timings)
+						}
+					}
+
+					cold := New(0)
+					if _, _, err := cold.Do(ctx, pipe, req, cc); err != nil {
+						t.Fatal(err)
+					}
+					st := cold.Snapshot()
+					if got := st.Verdict.Entries == 1; got != writesVerdict {
+						t.Errorf("%s: wrote verdict = %v, want %v", name, got, writesVerdict)
+					}
+					if got := st.Analysis.Entries == 1; got != writesAnalysis {
+						t.Errorf("%s: wrote analysis = %v, want %v", name, got, writesAnalysis)
+					}
+					if e, ok := cold.verdict.Get(key); ok && e.fp != Fingerprint(key) {
+						t.Errorf("%s: verdict entry carries fingerprint %q", name, e.fp)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestInvalidateModelOnPromotion pins the promotion contract: the
+// verdict table flushes, the analysis table survives, and post-promote
+// verdicts come from the new champion on the memoized analyses.
+func TestInvalidateModelOnPromotion(t *testing.T) {
+	_, pipe := fixtures(t)
+	ctx := context.Background()
+	m := New(0)
+	snaps := mixedSnaps(t, 8)
+	for _, snap := range snaps {
+		if _, _, err := m.Do(ctx, pipe, core.NewScoreRequest(snap), CacheDefault); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := m.Snapshot()
+	if before.Verdict.Entries == 0 || before.Analysis.Entries == 0 {
+		t.Fatalf("fixture produced empty tables: %+v", before)
+	}
+
+	pipe2 := secondPipeline(t)
+	m.InvalidateModel()
+	after := m.Snapshot()
+	if after.Verdict.Entries != 0 {
+		t.Fatalf("promotion left %d verdict entries, want 0", after.Verdict.Entries)
 	}
 	if after.Analysis.Entries != before.Analysis.Entries {
-		t.Fatalf("promotion flushed analysis memos: %d -> %d", before.Analysis.Entries, after.Analysis.Entries)
-	}
-	if after.Features.Entries != before.Features.Entries {
-		t.Fatalf("promotion flushed feature memos: %d -> %d", before.Features.Entries, after.Features.Entries)
+		t.Fatalf("promotion flushed analyses: %d -> %d", before.Analysis.Entries, after.Analysis.Entries)
 	}
 
-	// No stale verdicts: scores under the new champion match its own
-	// direct scoring, and analysis memos keep paying off.
-	var prov core.MemoProvenance
 	for i, snap := range snaps {
-		got, err := c.Do(ctx, pipe2, core.NewScoreRequest(snap), CacheDefault, &prov)
+		got, cached, err := m.Do(ctx, pipe2, core.NewScoreRequest(snap), CacheDefault)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -220,16 +276,33 @@ func TestInvalidateModelOnPromotion(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.Score != want.Score || got.ModelVersion != "m2" {
-			t.Fatalf("snap %d: post-promotion score %v (model %s) != direct %v", i, got.Score, got.ModelVersion, want.Score)
+		if !outcomeEqual(got.Outcome, want.Outcome) || got.ModelVersion != "m2" {
+			t.Fatalf("snap %d: post-promotion %+v (model %s) != direct %+v", i, got.Outcome, got.ModelVersion, want.Outcome)
 		}
-		if prov.Score == core.ProvMemo {
-			t.Fatalf("snap %d: stale score memo survived promotion", i)
+		if cached {
+			t.Fatalf("snap %d: stale verdict survived promotion", i)
 		}
-		if prov.Analysis != core.ProvMemo {
-			t.Fatalf("snap %d: analysis memo did not survive promotion (prov %q)", i, prov.Analysis)
+		if got.Memo == nil || got.Memo.Analysis != core.ProvMemo || got.Timings.AnalyzeNS != 0 {
+			t.Fatalf("snap %d: analysis memo did not survive promotion (memo %+v)", i, got.Memo)
 		}
 	}
+}
+
+// secondPipeline trains a second champion ("m2") on the fixture corpus.
+func secondPipeline(t *testing.T) *core.Pipeline {
+	t.Helper()
+	corp, pipe := fixtures(t)
+	snaps := append(corp.LegTrain.Snapshots(), corp.PhishTrain.Snapshots()...)
+	labels := append(corp.LegTrain.Labels(), corp.PhishTrain.Labels()...)
+	d2, err := core.Train(snaps, labels, core.TrainConfig{
+		Rank: corp.World.Ranking(),
+		GBM:  ml.GBMConfig{Trees: 30, MaxDepth: 3, Seed: 9},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d2.SetVersion("m2")
+	return &core.Pipeline{Detector: d2, Identifier: pipe.Identifier}
 }
 
 // TestVersionStampBlocksStaleReads covers the race the flush cannot: an
@@ -238,30 +311,32 @@ func TestInvalidateModelOnPromotion(t *testing.T) {
 func TestVersionStampBlocksStaleReads(t *testing.T) {
 	_, pipe := fixtures(t)
 	ctx := context.Background()
-	c := New(Config{})
+	m := New(0)
 	snap := mixedSnaps(t, 1)[0]
-	if _, err := c.Do(ctx, pipe, core.NewScoreRequest(snap), CacheDefault, nil); err != nil {
+	if _, _, err := m.Do(ctx, pipe, core.NewScoreRequest(snap), CacheDefault); err != nil {
 		t.Fatal(err)
 	}
 	d := pipe.Detector
 	old := d.Version()
 	d.SetVersion("stamp-check")
 	defer d.SetVersion(old)
-	var prov core.MemoProvenance
-	if _, err := c.Do(ctx, pipe, core.NewScoreRequest(snap), CacheDefault, &prov); err != nil {
+	v, cached, err := m.Do(ctx, pipe, core.NewScoreRequest(snap), CacheDefault)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if prov.Score == core.ProvMemo {
-		t.Fatal("score memoized under the old version hit under the new one")
+	if cached || v.ModelVersion != "stamp-check" {
+		t.Fatal("verdict memoized under the old version hit under the new one")
+	}
+	if st := m.Snapshot().Verdict; st.Hits != 0 || st.Misses != 2 {
+		t.Fatalf("verdict counters %+v, want the stale entry counted as a miss", st)
 	}
 }
 
 // TestDeadlinePropagation pins that one request's expired deadline
-// produces its own error and never poisons batchmates coalesced into
-// the same window.
+// produces its own error and never touches concurrent requests.
 func TestDeadlinePropagation(t *testing.T) {
 	_, pipe := fixtures(t)
-	c := New(Config{Window: 5 * time.Millisecond, MemoEntries: -1})
+	m := New(0)
 	snaps := mixedSnaps(t, 6)
 
 	var wg sync.WaitGroup
@@ -270,13 +345,12 @@ func TestDeadlinePropagation(t *testing.T) {
 		wg.Add(1)
 		go func(i int, snap *webpage.Snapshot) {
 			defer wg.Done()
-			ctx := context.Background()
 			var opts []core.ScoreOption
 			if i == 0 {
 				// A deadline that has certainly expired before scoring.
 				opts = append(opts, core.WithDeadline(time.Nanosecond))
 			}
-			_, errs[i] = c.Do(ctx, pipe, core.NewScoreRequest(snap, opts...), CacheDefault, nil)
+			_, _, errs[i] = m.Do(context.Background(), pipe, core.NewScoreRequest(snap, opts...), CacheDefault)
 		}(i, snap)
 	}
 	wg.Wait()
@@ -285,32 +359,23 @@ func TestDeadlinePropagation(t *testing.T) {
 	}
 	for i := 1; i < len(errs); i++ {
 		if errs[i] != nil {
-			t.Fatalf("batchmate %d inherited an error: %v", i, errs[i])
+			t.Fatalf("concurrent request %d inherited an error: %v", i, errs[i])
 		}
+	}
+	if n := m.Snapshot().Verdict.Entries; n != len(snaps)-1 {
+		t.Fatalf("verdict entries = %d, want %d (the failed request wrote nothing)", n, len(snaps)-1)
 	}
 }
 
 // TestConcurrentPromoteAndScore hammers Do against concurrent promotion
 // flushes and version churn; run under -race this is the memo tables'
-// safety net, and every verdict must still be internally consistent.
+// safety net, and every verdict must still come from its own model.
 func TestConcurrentPromoteAndScore(t *testing.T) {
-	corp, pipe := fixtures(t)
+	_, pipe := fixtures(t)
 	ctx := context.Background()
-	c := New(Config{Window: 50 * time.Microsecond})
+	m := New(0)
 	snaps := mixedSnaps(t, 16)
-
-	// A second champion to swap in and out.
-	snaps2 := append(corp.LegTrain.Snapshots(), corp.PhishTrain.Snapshots()...)
-	labels2 := append(corp.LegTrain.Labels(), corp.PhishTrain.Labels()...)
-	d2, err := core.Train(snaps2, labels2, core.TrainConfig{
-		Rank: corp.World.Ranking(),
-		GBM:  ml.GBMConfig{Trees: 30, MaxDepth: 3, Seed: 9},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d2.SetVersion("m2")
-	pipes := []*core.Pipeline{pipe, {Detector: d2, Identifier: pipe.Identifier}}
+	pipes := []*core.Pipeline{pipe, secondPipeline(t)}
 
 	want := make(map[string][2]float64, len(snaps))
 	for _, snap := range snaps {
@@ -335,7 +400,7 @@ func TestConcurrentPromoteAndScore(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				c.InvalidateModel()
+				m.InvalidateModel()
 				time.Sleep(200 * time.Microsecond)
 			}
 		}
@@ -349,10 +414,9 @@ func TestConcurrentPromoteAndScore(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for round := 0; round < 30; round++ {
-				p := pipes[(w+round)%2]
 				mi := (w + round) % 2
 				snap := snaps[(w*7+round)%len(snaps)]
-				v, err := c.Do(ctx, p, core.NewScoreRequest(snap), CacheDefault, nil)
+				v, _, err := m.Do(ctx, pipes[mi], core.NewScoreRequest(snap), CacheDefault)
 				if err != nil {
 					fail <- err.Error()
 					return
@@ -374,12 +438,13 @@ func TestConcurrentPromoteAndScore(t *testing.T) {
 	}
 }
 
-// TestNilCoalescerDegradesToDirect pins the nil receiver contract.
+// TestNilCoalescerDegradesToDirect pins the nil receiver contract: a
+// nil memo scores directly and never reports a hit.
 func TestNilCoalescerDegradesToDirect(t *testing.T) {
 	_, pipe := fixtures(t)
-	var c *Coalescer
+	var m *Memo
 	snap := mixedSnaps(t, 1)[0]
-	got, err := c.Do(context.Background(), pipe, core.NewScoreRequest(snap), CacheDefault, nil)
+	got, cached, err := m.Do(context.Background(), pipe, core.NewScoreRequest(snap), CacheDefault)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -387,120 +452,71 @@ func TestNilCoalescerDegradesToDirect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Score != want.Score {
-		t.Fatalf("nil coalescer score %v != direct %v", got.Score, want.Score)
+	if got.Score != want.Score || cached {
+		t.Fatalf("nil memo: score %v cached %v, want direct %v", got.Score, cached, want.Score)
 	}
-	c.InvalidateModel() // must not panic
-	if s := c.Snapshot(); s.Batches != 0 {
-		t.Fatal("nil coalescer reported batches")
+	m.InvalidateModel() // must not panic
+	if m.Enabled() || m.Snapshot() != (Stats{}) {
+		t.Fatal("nil memo reported tables")
+	}
+	// A disabled memo behaves like no-memo but keeps the fingerprint.
+	off := New(-1)
+	for i := 0; i < 2; i++ {
+		v, cached, err := off.Do(context.Background(), pipe, core.NewScoreRequest(snap), CacheDefault)
+		if err != nil || cached || v.ContentFingerprint == "" {
+			t.Fatalf("disabled memo: cached=%v fp=%q err=%v", cached, v.ContentFingerprint, err)
+		}
 	}
 }
 
-// TestExplainBypass pins that explain requests route around batching
-// and memoization but still produce full verdicts.
+// TestExplainBypass pins that explain requests are never answered from
+// the verdict table — a cached outcome has no evidence — yet produce
+// full verdicts and refresh the table for later plain requests.
 func TestExplainBypass(t *testing.T) {
 	_, pipe := fixtures(t)
-	c := New(Config{})
+	m := New(0)
+	ctx := context.Background()
 	snap := mixedSnaps(t, 1)[0]
-	v, err := c.Do(context.Background(), pipe, core.NewScoreRequest(snap, core.WithExplain(core.ExplainTop)), CacheDefault, nil)
-	if err != nil {
-		t.Fatal(err)
+	explain := core.NewScoreRequest(snap, core.WithExplain(core.ExplainTop))
+	for i := 0; i < 2; i++ {
+		v, cached, err := m.Do(ctx, pipe, explain, CacheDefault)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cached || v.Explanation == nil || len(v.Explanation.Contributions) == 0 {
+			t.Fatalf("explain request %d: cached=%v, explanation %+v", i, cached, v.Explanation)
+		}
 	}
-	if v.Explanation == nil || len(v.Explanation.Contributions) == 0 {
-		t.Fatal("explain request produced no evidence")
-	}
-	st := c.Snapshot()
-	if st.Bypassed != 1 {
-		t.Fatalf("bypassed = %d, want 1", st.Bypassed)
-	}
-	if st.Analysis.Entries != 0 {
-		t.Fatal("bypassed request wrote memos")
+	if _, cached, err := m.Do(ctx, pipe, core.NewScoreRequest(snap), CacheDefault); err != nil || !cached {
+		t.Fatalf("plain request after explain: cached=%v err=%v, want a verdict-table hit", cached, err)
 	}
 }
 
-// TestWarmPathZeroAllocs pins the steady-state cost of a fully
-// memoized request: content hash, four table hits, one batch pass —
-// zero heap allocations.
+// TestWarmPathZeroAllocs pins the steady-state cost of a verdict-table
+// hit: content hash, one table lookup, verdict assembly — zero heap
+// allocations.
 func TestWarmPathZeroAllocs(t *testing.T) {
 	if racecheck.Enabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
 	_, pipe := fixtures(t)
-	c := New(Config{})
+	m := New(0)
 	ctx := context.Background()
 	snap := mixedSnaps(t, 1)[0]
 	req := core.NewScoreRequest(snap)
-	if _, err := c.Do(ctx, pipe, req, CacheDefault, nil); err != nil {
+	if _, _, err := m.Do(ctx, pipe, req, CacheDefault); err != nil {
 		t.Fatal(err)
 	}
-	var prov core.MemoProvenance
 	allocs := testing.AllocsPerRun(300, func() {
-		v, err := c.Do(ctx, pipe, req, CacheDefault, &prov)
+		v, cached, err := m.Do(ctx, pipe, req, CacheDefault)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if v.ContentFingerprint == "" || prov.Score != core.ProvMemo {
-			t.Fatal("warm request missed the memo")
+		if v.ContentFingerprint == "" || !cached {
+			t.Fatal("warm request missed the verdict table")
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("warm coalesced request allocated %.1f times per run, want 0", allocs)
-	}
-}
-
-// TestCoalescingActuallyBatches drives concurrent requests through a
-// generous window and checks that passes carried more than one item.
-// The in-flight gauge is held up artificially so the adaptive flush
-// cannot fire: on a single-CPU box goroutines serialize and would
-// otherwise each (correctly) solo-flush, making window-based batching
-// untestable; pinning the gauge forces the leader to wait out its
-// window while the scheduler runs the other submitters into the batch.
-func TestCoalescingActuallyBatches(t *testing.T) {
-	_, pipe := fixtures(t)
-	c := New(Config{Window: 20 * time.Millisecond, MemoEntries: -1})
-	snaps := mixedSnaps(t, 32)
-	c.inflight.Add(int64(len(snaps)))
-	defer c.inflight.Add(int64(-len(snaps)))
-	var wg sync.WaitGroup
-	for _, snap := range snaps {
-		wg.Add(1)
-		go func(snap *webpage.Snapshot) {
-			defer wg.Done()
-			if _, err := c.Do(context.Background(), pipe, core.NewScoreRequest(snap), CacheDefault, nil); err != nil {
-				t.Error(err)
-			}
-		}(snap)
-	}
-	wg.Wait()
-	st := c.Snapshot()
-	if st.Batches == 0 {
-		t.Fatal("no batches ran")
-	}
-	if st.BatchedItems != uint64(len(snaps)) {
-		t.Fatalf("batched items = %d, want %d", st.BatchedItems, len(snaps))
-	}
-	if st.Batches == st.BatchedItems {
-		t.Fatalf("every batch had exactly one item (%d batches) — coalescing never happened", st.Batches)
-	}
-	if st.FlushTimer == 0 {
-		t.Fatalf("no window-expiry flush recorded: %+v", st)
-	}
-}
-
-// TestAdaptiveFlushSkipsTheWindow pins the solo fast path: a lone
-// request — nobody else in flight — must not pay the window as latency.
-func TestAdaptiveFlushSkipsTheWindow(t *testing.T) {
-	_, pipe := fixtures(t)
-	c := New(Config{Window: 250 * time.Millisecond, MemoEntries: -1})
-	snap := mixedSnaps(t, 1)[0]
-	start := time.Now()
-	if _, err := c.Do(context.Background(), pipe, core.NewScoreRequest(snap), CacheDefault, nil); err != nil {
-		t.Fatal(err)
-	}
-	if took := time.Since(start); took > 100*time.Millisecond {
-		t.Fatalf("solo request took %v — it waited out the coalescing window", took)
-	}
-	if st := c.Snapshot(); st.FlushAdaptive != 1 {
-		t.Fatalf("flush reasons %+v, want one adaptive flush", st)
+		t.Fatalf("verdict-table hit allocated %.1f times per run, want 0", allocs)
 	}
 }

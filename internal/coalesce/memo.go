@@ -1,11 +1,9 @@
 package coalesce
 
-// Sharded LRU memo tables keyed by content fingerprint. The layout
-// mirrors internal/serve's verdict cache (16 shards, each a map over an
-// intrusive recency list) but is generic over the stage value, so the
-// four stage tables — analysis, feature vector, detector score, target
-// result — share one implementation. Lookups on a warm table perform no
-// heap allocations; inserts box one entry.
+// Sharded LRU tables keyed by content key: 16 shards, each a map over an
+// intrusive recency list, generic over the stored value so the verdict
+// and analysis tables share one implementation. Lookups on a warm table
+// perform no heap allocations; inserts box one entry.
 
 import (
 	"container/list"
@@ -65,7 +63,9 @@ func (t *memoTable[V]) shard(k webpage.Key128) *memoShard[V] {
 	return &t.shards[k.Lo&(memoShards-1)]
 }
 
-// Get returns the cached value for k, bumping its recency.
+// Get returns the cached value for k, bumping its recency. It counts
+// nothing: the caller decides whether the value is usable and says so
+// with record.
 func (t *memoTable[V]) Get(k webpage.Key128) (V, bool) {
 	var zero V
 	if t == nil {
@@ -76,14 +76,24 @@ func (t *memoTable[V]) Get(k webpage.Key128) (V, bool) {
 	el, ok := s.m[k]
 	if !ok {
 		s.mu.Unlock()
-		t.misses.Add(1)
 		return zero, false
 	}
 	s.ll.MoveToFront(el)
 	v := el.Value.(memoEntry[V]).val
 	s.mu.Unlock()
-	t.hits.Add(1)
 	return v, true
+}
+
+// record counts one lookup as a hit or a miss.
+func (t *memoTable[V]) record(hit bool) {
+	if t == nil {
+		return
+	}
+	if hit {
+		t.hits.Add(1)
+	} else {
+		t.misses.Add(1)
+	}
 }
 
 // Put inserts or replaces the value for k, evicting the least recently
@@ -114,8 +124,7 @@ func (t *memoTable[V]) Put(k webpage.Key128, v V) {
 	}
 }
 
-// Flush drops every entry — the promotion hook for version-dependent
-// tables.
+// Flush drops every entry — the promotion hook of the verdict table.
 func (t *memoTable[V]) Flush() {
 	if t == nil {
 		return

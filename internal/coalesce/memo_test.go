@@ -3,6 +3,7 @@ package coalesce
 import (
 	"testing"
 
+	"knowphish/internal/core"
 	"knowphish/internal/racecheck"
 	"knowphish/internal/webpage"
 )
@@ -86,9 +87,9 @@ func TestMemoTableGetZeroAllocs(t *testing.T) {
 	if racecheck.Enabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
-	tb := newMemoTable[scoreEntry](1 << 10)
+	tb := newMemoTable[verdictEntry](1 << 10)
 	for i := uint64(0); i < 100; i++ {
-		tb.Put(key(i), scoreEntry{score: float64(i), ver: "m1"})
+		tb.Put(key(i), verdictEntry{out: core.Outcome{Score: float64(i)}, ver: "m1"})
 	}
 	allocs := testing.AllocsPerRun(200, func() {
 		for i := uint64(0); i < 100; i++ {
@@ -105,10 +106,10 @@ func TestMemoTableGetZeroAllocs(t *testing.T) {
 // BenchmarkMemoLookup is gate-pinned (scripts/bench_lib.sh): one warm
 // sharded-LRU lookup, the unit cost every memoized stage saves against.
 func BenchmarkMemoLookup(b *testing.B) {
-	tb := newMemoTable[scoreEntry](DefaultMemoEntries)
+	tb := newMemoTable[verdictEntry](DefaultEntries)
 	const n = 4096
 	for i := uint64(0); i < n; i++ {
-		tb.Put(key(i), scoreEntry{score: float64(i), ver: "m1"})
+		tb.Put(key(i), verdictEntry{out: core.Outcome{Score: float64(i)}, ver: "m1"})
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -156,7 +156,7 @@ func TestScoreCtxFullPathAllocBudget(t *testing.T) {
 
 // TestHoistedOptionsAllocContract pins the contract the serving
 // layer's option hoist relies on. An option-free request builds on the
-// stack (zero allocations — the coalescer and feed-drain default).
+// stack (zero allocations — the memo and feed-drain default).
 // Applying a precomputed option slice costs exactly one allocation —
 // the request materializing on the heap because its address flows into
 // the option closures — independent of option count; the slice and the
@@ -187,45 +187,6 @@ func TestHoistedOptionsAllocContract(t *testing.T) {
 	}
 }
 
-// TestScoreCoalescedWarmPathZeroAllocs pins the coalescer's warm-memo
-// steady state: with analysis and score both memo-supplied, a coalesced
-// pass over a reused item must not touch the allocator (beyond what the
-// caller itself reuses).
-func TestScoreCoalescedWarmPathZeroAllocs(t *testing.T) {
-	if racecheck.Enabled {
-		t.Skip("allocation counts are not meaningful under -race")
-	}
-	c := corpus(t)
-	d := trainDetector(t, c, 0)
-	pipe := &Pipeline{Detector: d}
-	snap := c.LangTests[webgen.English].Snapshots()[0]
-	a := webpage.Analyze(snap)
-	ctx := context.Background()
-
-	req := NewScoreRequest(snap)
-	seed := &CoalesceItem{Req: req, Analysis: a}
-	items := []*CoalesceItem{seed}
-	if err := pipe.ScoreCoalesced(ctx, items, 1); err != nil {
-		t.Fatal(err)
-	}
-	score := seed.Verdict.Score
-	allocs := testing.AllocsPerRun(200, func() {
-		*seed = CoalesceItem{
-			Req: req, Analysis: a,
-			HasScore: true, Score: score,
-		}
-		if err := pipe.ScoreCoalesced(ctx, items, 1); err != nil {
-			t.Fatal(err)
-		}
-		if seed.Err != nil || seed.Verdict.Score != score {
-			t.Fatal("warm coalesced verdict diverged")
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("warm coalesced pass allocated %.1f times per run, want 0", allocs)
-	}
-}
-
 // TestWithAnalysisMatchesColdPath pins that the cached-page path is a
 // pure shortcut: same verdict, same score, bit for bit.
 func TestWithAnalysisMatchesColdPath(t *testing.T) {
@@ -239,9 +200,13 @@ func TestWithAnalysisMatchesColdPath(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		warm, err := pipe.AnalyzeCtx(ctx, NewScoreRequest(snap, WithAnalysis(webpage.Analyze(snap))))
+		a := webpage.Analyze(snap)
+		warm, err := pipe.AnalyzeCtx(ctx, NewScoreRequest(snap, WithAnalysis(a)))
 		if err != nil {
 			t.Fatal(err)
+		}
+		if warm.Analysis() != a || cold.Analysis() == nil {
+			t.Fatalf("snap %d: verdicts do not carry the analysis they were scored from", i)
 		}
 		if warm.Score != cold.Score || warm.FinalPhish != cold.FinalPhish || warm.Label != cold.Label {
 			t.Fatalf("snap %d: warm verdict (%v, %v) != cold (%v, %v)",

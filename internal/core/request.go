@@ -78,7 +78,7 @@ type ScoreOption func(*ScoreRequest)
 func NewScoreRequest(snap *webpage.Snapshot, opts ...ScoreOption) ScoreRequest {
 	// Option-free requests never take the request's address, so they
 	// build entirely on the caller's stack — the hot default for the
-	// feed drain and coalesced scoring. With options, &req flows into
+	// feed drain and memo scoring. With options, &req flows into
 	// the option closures and escape analysis materializes the request
 	// on the heap: one allocation, regardless of option count.
 	if len(opts) == 0 {

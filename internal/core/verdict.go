@@ -83,17 +83,26 @@ type Verdict struct {
 	// track per-feature population shift without re-extracting). Never
 	// serialized.
 	Vector []float64 `json:"-"`
-	// ContentFingerprint is the sha256 content identity of the scored
-	// page (webpage.Fingerprint) — the value the v2 surface derives its
-	// ETag from. Set by the memoizing/coalescing path; plain ScoreCtx
-	// verdicts leave it empty rather than paying the hash for callers
-	// that never read it.
+	// ContentFingerprint is the page's memo key in hex: the 128-bit
+	// XXH64 webpage.ContentKey over the landing URL and the content —
+	// the value the v2 surface derives its ETag from. It is not the
+	// verdict store's sha256 webpage.Fingerprint, which leaves the URL
+	// out. Set by the memo path; plain ScoreCtx verdicts leave it empty
+	// rather than paying the hash for callers that never read it.
 	ContentFingerprint string `json:"content_fingerprint,omitempty"`
 	// Memo reports, per pipeline stage, whether the stage's result was
 	// served from the content-addressed memo tables or computed fresh.
-	// Nil when the verdict did not pass through the memoizing path.
+	// Nil when the verdict was not computed on the memo path.
 	Memo *MemoProvenance `json:"memo,omitempty"`
+
+	// analysis is the page analysis the verdict was scored from.
+	analysis *webpage.Analysis
 }
+
+// Analysis returns the page analysis the verdict was scored from (nil
+// for verdicts rehydrated by MakeVerdict) — what the memo stores so a
+// later request for the same page skips the analysis stage.
+func (v *Verdict) Analysis() *webpage.Analysis { return v.analysis }
 
 // Stage provenance values of MemoProvenance fields.
 const (
@@ -280,6 +289,7 @@ func (d *Detector) scoreCtx(ctx context.Context, req ScoreRequest, id *target.Id
 	}
 
 	v.Label = label(v.FinalPhish)
+	v.analysis = a
 	v.Timings.TotalNS = time.Since(t0).Nanoseconds()
 	features.PutVector(vecBuf)
 	features.PutVector(projBuf)

@@ -2,154 +2,182 @@ package serve
 
 import (
 	"fmt"
-	"reflect"
+	"net/http"
 	"sync"
 	"testing"
 
-	"knowphish/internal/core"
 	"knowphish/internal/webpage"
 )
 
+// page is a small raw-HTML page with its own landing URL.
+func page(i int) PageRequest {
+	return PageRequest{
+		HTML:       fmt.Sprintf("<title>page %d</title><body>content %d</body>", i, i),
+		LandingURL: fmt.Sprintf("http://host%d.test/", i),
+	}
+}
+
+// scoreV1 posts one page to /v1/score.
+func scoreV1(t *testing.T, s *Server, p PageRequest) ScoreResponse {
+	t.Helper()
+	var resp ScoreResponse
+	if code := call(t, s, http.MethodPost, "/v1/score", p, &resp); code != http.StatusOK {
+		t.Fatalf("score: status = %d", code)
+	}
+	return resp
+}
+
+// TestCacheGetPut pins the verdict table's basic contract through the
+// server: a miss scores and stores, a repeat hits with the same
+// outcome, and a refresh overwrites in place.
 func TestCacheGetPut(t *testing.T) {
-	c := newVerdictCache(64)
-	if _, _, ok := c.Get("http://a.test/", ""); ok {
-		t.Error("hit on empty cache")
+	s := newServer(t, nil)
+	p := page(1)
+	first := scoreV1(t, s, p)
+	second := scoreV1(t, s, p)
+	if first.Cached || !second.Cached {
+		t.Fatalf("cached flags = %v, %v; want false, true", first.Cached, second.Cached)
 	}
-	want := core.Outcome{Score: 0.9, DetectorPhish: true, FinalPhish: true}
-	c.Put("http://a.test/", want, "", "")
-	got, _, ok := c.Get("http://a.test/", "")
-	if !ok || !reflect.DeepEqual(got, want) {
-		t.Errorf("Get = %+v, %v; want %+v, true", got, ok, want)
+	if first.Outcome.Score != second.Outcome.Score || first.FinalPhish != second.FinalPhish {
+		t.Errorf("hit %+v differs from the stored outcome %+v", second.Outcome, first.Outcome)
 	}
-	// Overwrite updates in place.
-	want.Score = 0.95
-	c.Put("http://a.test/", want, "", "")
-	if got, _, _ := c.Get("http://a.test/", ""); got.Score != 0.95 {
-		t.Errorf("overwrite lost: %+v", got)
-	}
-	if c.Len() != 1 {
-		t.Errorf("Len = %d, want 1", c.Len())
+	var ref V2ScoreResponse
+	call(t, s, http.MethodPost, "/v2/score", V2ScoreRequest{PageRequest: p, ScoreOptions: ScoreOptions{CacheControl: "refresh"}}, &ref)
+	if m := s.Metrics(); m.CacheEntries != 1 || m.CacheHits != 1 || m.CacheMisses != 1 {
+		t.Errorf("entries/hits/misses = %d/%d/%d, want 1/1/1", m.CacheEntries, m.CacheHits, m.CacheMisses)
 	}
 }
 
 // TestCacheVersionStaleness pins the hot-swap contract: entries scored
-// by an older model read as misses for the new one, and the first fresh
-// Put takes the slot over.
+// by an older model read as misses for the new one, and the fresh
+// verdict takes the slot over.
 func TestCacheVersionStaleness(t *testing.T) {
-	c := newVerdictCache(64)
-	old := core.Outcome{Score: 0.9, FinalPhish: true}
-	c.Put("http://a.test/", old, "v0001", "")
-	if _, _, ok := c.Get("http://a.test/", "v0002"); ok {
+	_, d := fixtures(t)
+	s := newServer(t, nil)
+	p := page(2)
+	old := d.Version()
+	t.Cleanup(func() { d.SetVersion(old) })
+	d.SetVersion("v0001")
+	scoreV1(t, s, p)
+	d.SetVersion("v0002")
+	if scoreV1(t, s, p).Cached {
 		t.Error("stale-model entry served as a hit")
 	}
-	// The old model's readers still hit their own entry.
-	if got, _, ok := c.Get("http://a.test/", "v0001"); !ok || got.Score != 0.9 {
-		t.Errorf("same-version hit lost: %+v, %v", got, ok)
+	if !scoreV1(t, s, p).Cached {
+		t.Error("post-swap verdict was not stored")
 	}
-	fresh := core.Outcome{Score: 0.2}
-	c.Put("http://a.test/", fresh, "v0002", "")
-	if got, _, ok := c.Get("http://a.test/", "v0002"); !ok || got.Score != 0.2 {
-		t.Errorf("post-swap entry: %+v, %v", got, ok)
-	}
-	if _, _, ok := c.Get("http://a.test/", "v0001"); ok {
+	d.SetVersion("v0001")
+	if scoreV1(t, s, p).Cached {
 		t.Error("overwritten entry still serves the old version")
 	}
-	if c.Len() != 1 {
-		t.Errorf("Len = %d, want 1 (overwrite, not duplicate)", c.Len())
+	if m := s.Metrics(); m.CacheEntries != 1 {
+		t.Errorf("entries = %d, want 1 (overwrite, not duplicate)", m.CacheEntries)
 	}
 }
 
+// TestCacheIgnoresEmptyKey pins that pages without a landing URL never
+// enter the verdict table and touch none of its counters.
 func TestCacheIgnoresEmptyKey(t *testing.T) {
-	c := newVerdictCache(16)
-	c.Put("", core.Outcome{Score: 1}, "", "")
-	if c.Len() != 0 {
-		t.Error("empty key was cached")
+	c, _ := fixtures(t)
+	s := newServer(t, nil)
+	snap := *c.PhishTest.Examples[0].Snapshot
+	snap.LandingURL = ""
+	for i := 0; i < 2; i++ {
+		if scoreV1(t, s, PageRequest{Snapshot: &snap}).Cached {
+			t.Fatal("page without a landing URL served from the verdict table")
+		}
 	}
-	if _, _, ok := c.Get("", ""); ok {
-		t.Error("empty key hit")
+	if m := s.Metrics(); m.CacheEntries != 0 || m.CacheHits+m.CacheMisses != 0 {
+		t.Errorf("entries %d, lookups %d; want 0, 0", m.CacheEntries, m.CacheHits+m.CacheMisses)
 	}
 }
 
 func TestCacheEviction(t *testing.T) {
-	// Capacity below the shard count still holds one entry per shard and
-	// evicts within each shard.
-	c := newVerdictCache(cacheShards) // one entry per shard
-	for i := 0; i < 10*cacheShards; i++ {
-		c.Put(fmt.Sprintf("http://s%d.test/", i), core.Outcome{Score: float64(i)}, "", "")
+	// Capacity 16 is one entry per shard; the table evicts within each
+	// shard and never grows past it.
+	s := newServer(t, func(cfg *Config) { cfg.CacheSize = 16 })
+	for i := 0; i < 80; i++ {
+		scoreV1(t, s, page(i))
 	}
-	if got := c.Len(); got > cacheShards {
-		t.Errorf("Len = %d, want <= %d after eviction", got, cacheShards)
+	if m := s.Metrics(); m.CacheEntries > 16 || m.CacheEvictions == 0 {
+		t.Errorf("entries %d, evictions %d; want <= 16 and > 0", m.CacheEntries, m.CacheEvictions)
 	}
 }
 
 func TestCacheLRUOrder(t *testing.T) {
-	// Single-shard-sized cache: craft keys landing in one shard by using
-	// one key repeatedly; exercise MoveToFront via interleaved gets.
-	c := newVerdictCache(cacheShards * 2) // two entries per shard
-	// Find three keys that map to the same shard.
-	var keys []string
-	target := c.shard(fnv32("seed"))
-	for i := 0; len(keys) < 3; i++ {
-		k := fmt.Sprintf("key-%d", i)
-		if c.shard(fnv32(k)) == target {
-			keys = append(keys, k)
+	// Two entries per shard; find three pages whose keys share a shard.
+	s := newServer(t, func(cfg *Config) { cfg.CacheSize = 32 })
+	shard := func(p PageRequest) uint64 {
+		snap, err := p.snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return webpage.ContentKey(snap).Lo & 15
+	}
+	var pages []PageRequest
+	want := shard(page(0))
+	for i := 0; len(pages) < 3; i++ {
+		if p := page(i); shard(p) == want {
+			pages = append(pages, p)
 		}
 	}
-	c.Put(keys[0], core.Outcome{Score: 0}, "", "")
-	c.Put(keys[1], core.Outcome{Score: 1}, "", "")
-	// Touch keys[0] so keys[1] is the LRU entry.
-	c.Get(keys[0], "")
-	c.Put(keys[2], core.Outcome{Score: 2}, "", "")
-	if _, _, ok := c.Get(keys[0], ""); !ok {
+	scoreV1(t, s, pages[0])
+	scoreV1(t, s, pages[1])
+	// Touch pages[0] so pages[1] is the least recently used entry.
+	scoreV1(t, s, pages[0])
+	scoreV1(t, s, pages[2])
+	if !scoreV1(t, s, pages[0]).Cached {
 		t.Error("recently used entry was evicted")
 	}
-	if _, _, ok := c.Get(keys[1], ""); ok {
+	if scoreV1(t, s, pages[1]).Cached {
 		t.Error("least recently used entry survived")
 	}
 }
 
 func TestCacheConcurrent(t *testing.T) {
-	c := newVerdictCache(128)
+	s := newServer(t, func(cfg *Config) { cfg.CacheSize = 32 })
+	want := make([]float64, 50)
+	for i := range want {
+		want[i] = scoreV1(t, newServer(t, nil), page(i)).Outcome.Score
+	}
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				key := fmt.Sprintf("http://s%d.test/", (w*7+i)%50)
-				if i%2 == 0 {
-					c.Put(key, core.Outcome{Score: float64(i)}, "", "")
-				} else {
-					c.Get(key, "")
+			for i := 0; i < 40; i++ {
+				n := (w*7 + i) % 50
+				var resp ScoreResponse
+				if code := call(t, s, http.MethodPost, "/v1/score", page(n), &resp); code != http.StatusOK {
+					t.Errorf("status = %d", code)
+					return
+				}
+				if resp.Outcome.Score != want[n] {
+					t.Errorf("page %d: score %v, want %v", n, resp.Outcome.Score, want[n])
+					return
 				}
 			}
 		}(w)
 	}
 	wg.Wait()
-	if c.Len() > 128 {
-		t.Errorf("cache overgrew: %d", c.Len())
+	if m := s.Metrics(); m.CacheEntries > 32 {
+		t.Errorf("table overgrew: %d entries", m.CacheEntries)
 	}
 }
 
+// TestGetBytesMatchesGet pins that the batch path, which keys pages
+// while resolving them, and the single-page path use the same page key:
+// a verdict stored by one is a hit for the other, both ways.
 func TestGetBytesMatchesGet(t *testing.T) {
-	snap := &webpage.Snapshot{StartingURL: "http://a.test/x", LandingURL: "http://b.test/y", Text: "hello"}
-	key := cacheKey(snap)
-	if want := string(appendCacheKey(nil, snap)); key != want {
-		t.Fatalf("cacheKey = %q, want %q", key, want)
+	s := newServer(t, nil)
+	var batch BatchResponse
+	call(t, s, http.MethodPost, "/v1/score/batch", BatchRequest{Pages: []PageRequest{page(1)}}, &batch)
+	if !scoreV1(t, s, page(1)).Cached {
+		t.Error("single-page request missed a verdict the batch path stored")
 	}
-	c := newVerdictCache(8)
-	c.Put(key, core.Outcome{Score: 0.9}, "v0001", "")
-	if out, _, ok := c.GetBytes([]byte(key), "v0001"); !ok || out.Score != 0.9 {
-		t.Fatalf("GetBytes = (%+v, %v), want hit with score 0.9", out, ok)
-	}
-	if _, _, ok := c.GetBytes([]byte(key), "v0002"); ok {
-		t.Fatal("GetBytes hit across model versions")
-	}
-	if _, _, ok := c.GetBytes(nil, "v0001"); ok {
-		t.Fatal("GetBytes hit on empty key")
-	}
-	// Snapshots without a landing URL stay uncacheable.
-	if got := appendCacheKey(nil, &webpage.Snapshot{StartingURL: "http://a.test/x"}); len(got) != 0 {
-		t.Fatalf("appendCacheKey without landing URL = %q, want empty", got)
+	scoreV1(t, s, page(2))
+	call(t, s, http.MethodPost, "/v1/score/batch", BatchRequest{Pages: []PageRequest{page(2)}}, &batch)
+	if !batch.Results[0].Cached {
+		t.Error("batch request missed a verdict the single-page path stored")
 	}
 }

@@ -103,8 +103,36 @@ func TestScoreV2ETagAndConditionalGet(t *testing.T) {
 	}
 }
 
+// TestBatchCachedVerdictKeepsETag pins that a verdict stored by the v1
+// batch path carries its fingerprint: a later /v2/score of the same
+// page answers with the ETag a cold /v2/score gets.
+func TestBatchCachedVerdictKeepsETag(t *testing.T) {
+	c, _ := fixtures(t)
+	snap := c.PhishTest.Examples[0].Snapshot
+	body := V2ScoreRequest{PageRequest: PageRequest{Snapshot: snap}}
+	cold := callHdr(t, newServer(t, nil), http.MethodPost, "/v2/score", body, nil).Header().Get("ETag")
+	if cold == "" {
+		t.Fatal("cold v2 verdict carries no ETag")
+	}
+
+	s := newServer(t, nil)
+	var batch BatchResponse
+	call(t, s, http.MethodPost, "/v1/score/batch", BatchRequest{Pages: []PageRequest{{Snapshot: snap}}}, &batch)
+	rec := callHdr(t, s, http.MethodPost, "/v2/score", body, nil)
+	var resp V2ScoreResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+		t.Fatal(err)
+	}
+	if !resp.Cached {
+		t.Fatal("v2 request missed the verdict the v1 batch stored")
+	}
+	if got := rec.Header().Get("ETag"); got != cold {
+		t.Errorf("ETag after a v1 batch = %q, want %q", got, cold)
+	}
+}
+
 // TestScoreV2CacheControl pins the three cache_control modes across
-// both caching layers (verdict cache and stage memos).
+// both memo tables.
 func TestScoreV2CacheControl(t *testing.T) {
 	c, _ := fixtures(t)
 	s := newServer(t, nil)
@@ -135,7 +163,7 @@ func TestScoreV2CacheControl(t *testing.T) {
 		t.Error("no-memo left state behind: default request hit a cache")
 	}
 
-	// The default request wrote; a repeat is a verdict-cache hit.
+	// The default request wrote; a repeat is a verdict-table hit.
 	if hit := score("default"); !hit.Cached {
 		t.Error("default request after a write missed the cache")
 	}
@@ -167,14 +195,14 @@ func TestScoreV2CacheControl(t *testing.T) {
 	}
 }
 
-// TestScoreBatchV2 exercises the new batch surface: ordered results,
-// agreement with single scoring, memo provenance on warm repeats, and
-// the validation failures.
+// TestScoreBatchV2 exercises the batch surface: ordered results,
+// agreement with single scoring, memo provenance, and the validation
+// failures.
 func TestScoreBatchV2(t *testing.T) {
 	c, _ := fixtures(t)
-	// Verdict cache off so the repeat exercises the stage memos rather
-	// than the whole-verdict cache.
-	s := newServer(t, func(cfg *Config) { cfg.CacheSize = -1 })
+	// The single-page calls below must compute, not hit what the batch
+	// stored: score them on a second server.
+	s, single := newServer(t, nil), newServer(t, nil)
 	const n = 4
 	pages := make([]PageRequest, n)
 	for i := range pages {
@@ -195,25 +223,22 @@ func TestScoreBatchV2(t *testing.T) {
 		if res.ContentFingerprint == "" {
 			t.Errorf("result %d missing content fingerprint", i)
 		}
-		var single V2ScoreResponse
-		call(t, s, http.MethodPost, "/v2/score", V2ScoreRequest{PageRequest: pages[i]}, &single)
-		if single.Score != res.Score || single.FinalPhish != res.FinalPhish {
-			t.Errorf("result %d diverges from single scoring: %v vs %v", i, res.Score, single.Score)
+		if res.Memo == nil || res.Memo.Analysis != "computed" || res.Memo.Score != "computed" {
+			t.Errorf("cold result %d provenance = %+v, want computed", i, res.Memo)
+		}
+		var one V2ScoreResponse
+		call(t, single, http.MethodPost, "/v2/score", V2ScoreRequest{PageRequest: pages[i]}, &one)
+		if one.Score != res.Score || one.FinalPhish != res.FinalPhish {
+			t.Errorf("result %d diverges from single scoring: %v vs %v", i, res.Score, one.Score)
 		}
 	}
 
-	// The repeat runs warm: every stage that ran is served from memo.
+	// The repeat is served whole from the verdict table.
 	var again V2BatchResponse
 	call(t, s, http.MethodPost, "/v2/score/batch", V2BatchRequest{Pages: pages}, &again)
 	for i, res := range again.Results {
-		if res.Memo == nil {
-			t.Fatalf("warm result %d carries no memo provenance", i)
-		}
-		if res.Memo.Score != "memo" {
-			t.Errorf("warm result %d score provenance = %q, want memo", i, res.Memo.Score)
-		}
-		if res.TargetRun && res.Memo.Target != "memo" {
-			t.Errorf("warm result %d target provenance = %q, want memo", i, res.Memo.Target)
+		if !res.Cached || res.ContentFingerprint != batch.Results[i].ContentFingerprint {
+			t.Errorf("warm result %d: cached=%v fingerprint %q", i, res.Cached, res.ContentFingerprint)
 		}
 	}
 
@@ -231,9 +256,9 @@ func TestScoreBatchV2(t *testing.T) {
 }
 
 // TestPromoteFlushesMemos pins the invalidation contract end to end
-// over HTTP: promotion flushes the model-dependent memo tables (scores,
-// target results) while the model-independent analysis memos survive,
-// and post-promote verdicts come from the new champion.
+// over HTTP: promotion flushes the verdict table while the
+// model-independent analysis table survives, and post-promote verdicts
+// come from the new champion on the memoized analyses.
 func TestPromoteFlushesMemos(t *testing.T) {
 	c, _ := fixtures(t)
 	s, _ := registryServer(t)
@@ -250,12 +275,12 @@ func TestPromoteFlushesMemos(t *testing.T) {
 			t.Fatalf("warm-up scored by %q, want v0001", resp.ModelVersion)
 		}
 	}
-	before := s.Metrics().Coalesce
-	if before == nil {
+	before := s.Metrics()
+	if before.Coalesce == nil {
 		t.Fatal("metrics carry no coalesce stats")
 	}
-	if before.Score.Entries == 0 || before.Analysis.Entries == 0 {
-		t.Fatalf("memos not warmed: %+v", before)
+	if before.CacheEntries == 0 || before.Coalesce.Analysis.Entries == 0 {
+		t.Fatalf("memos not warmed: %d verdicts, %+v", before.CacheEntries, before.Coalesce)
 	}
 
 	var prom PromoteResponse
@@ -263,14 +288,13 @@ func TestPromoteFlushesMemos(t *testing.T) {
 		t.Fatalf("promote = %d", code)
 	}
 
-	after := s.Metrics().Coalesce
-	if after.Score.Entries != 0 || after.Target.Entries != 0 {
-		t.Errorf("model-dependent memos survived promotion: score=%d target=%d",
-			after.Score.Entries, after.Target.Entries)
+	after := s.Metrics()
+	if after.CacheEntries != 0 {
+		t.Errorf("verdict table survived promotion: %d entries", after.CacheEntries)
 	}
-	if after.Analysis.Entries != before.Analysis.Entries {
-		t.Errorf("analysis memos flushed by promotion: %d -> %d",
-			before.Analysis.Entries, after.Analysis.Entries)
+	if after.Coalesce.Analysis.Entries != before.Coalesce.Analysis.Entries {
+		t.Errorf("analysis table flushed by promotion: %d -> %d",
+			before.Coalesce.Analysis.Entries, after.Coalesce.Analysis.Entries)
 	}
 
 	// No stale verdicts: a rescore is served by the new champion.
@@ -283,6 +307,9 @@ func TestPromoteFlushesMemos(t *testing.T) {
 	}
 	if resp.Cached {
 		t.Error("post-promote verdict served from the predecessor's cache")
+	}
+	if resp.Memo == nil || resp.Memo.Analysis != "memo" {
+		t.Errorf("post-promote provenance %+v, want the analysis from memo", resp.Memo)
 	}
 }
 

@@ -28,8 +28,6 @@ type Metrics struct {
 	scored        atomic.Int64 // pages scored (batch items counted singly)
 	phish         atomic.Int64 // pages with a final phishing verdict
 	errors        atomic.Int64 // 4xx/5xx responses
-	cacheHits     atomic.Int64
-	cacheMiss     atomic.Int64
 	inFlight      atomic.Int64
 	batchRejected atomic.Int64 // batch/stream/feed requests over the item limit (413)
 	cancelled     atomic.Int64 // requests cut short by client disconnect
@@ -88,9 +86,8 @@ type MetricsSnapshot struct {
 	// phish-rate shift, shadow-scoring and retrain/promotion counters)
 	// when the lifecycle controller is configured.
 	Lifecycle *drift.LifecycleStatus `json:"lifecycle,omitempty"`
-	// Coalesce reports the scoring coalescer's batching counters and
-	// the hit/miss/eviction stats of the four per-stage memo tables
-	// (absent when coalescing is disabled).
+	// Coalesce reports the memo's analysis table; the cache_* fields
+	// above report its verdict table.
 	Coalesce *coalesce.Stats `json:"coalesce,omitempty"`
 
 	LatencyMeanUS int64 `json:"latency_mean_us"`
@@ -145,9 +142,10 @@ type ShedMetrics struct {
 	Level int `json:"level"`
 }
 
-// Snapshot captures the current counters.
-func (m *Metrics) Snapshot(cacheEntries int) MetricsSnapshot {
-	hits, miss := m.cacheHits.Load(), m.cacheMiss.Load()
+// Snapshot captures the current counters; verdicts is the memo's
+// verdict table, reported as the cache_* fields.
+func (m *Metrics) Snapshot(verdicts coalesce.TableStats) MetricsSnapshot {
+	hits, miss := int64(verdicts.Hits), int64(verdicts.Misses)
 	rate := 0.0
 	if hits+miss > 0 {
 		rate = float64(hits) / float64(hits+miss)
@@ -163,10 +161,11 @@ func (m *Metrics) Snapshot(cacheEntries int) MetricsSnapshot {
 		Cancelled:     m.cancelled.Load(),
 		StreamedItems: m.streamed.Load(),
 
-		CacheHits:    hits,
-		CacheMisses:  miss,
-		CacheHitRate: rate,
-		CacheEntries: cacheEntries,
+		CacheHits:      hits,
+		CacheMisses:    miss,
+		CacheHitRate:   rate,
+		CacheEntries:   verdicts.Entries,
+		CacheEvictions: int64(verdicts.Evictions),
 
 		LatencyMeanUS: m.latency.Mean(),
 		LatencyP50US:  m.latency.Percentile(50),

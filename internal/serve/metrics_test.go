@@ -4,6 +4,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"knowphish/internal/coalesce"
 )
 
 func TestLatencyHistPercentiles(t *testing.T) {
@@ -52,18 +54,16 @@ func TestMetricsSnapshotCounters(t *testing.T) {
 	m.requests.Add(5)
 	m.scored.Add(3)
 	m.phish.Add(1)
-	m.cacheHits.Add(2)
-	m.cacheMiss.Add(2)
 	m.latency.Observe(time.Millisecond)
-	snap := m.Snapshot(7)
+	snap := m.Snapshot(coalesce.TableStats{Hits: 2, Misses: 2, Entries: 7, Evictions: 1})
 	if snap.Requests != 5 || snap.PagesScored != 3 || snap.PhishVerdicts != 1 {
 		t.Errorf("counters: %+v", snap)
 	}
 	if snap.CacheHitRate != 0.5 {
 		t.Errorf("hit rate = %v, want 0.5", snap.CacheHitRate)
 	}
-	if snap.CacheEntries != 7 {
-		t.Errorf("entries = %d", snap.CacheEntries)
+	if snap.CacheEntries != 7 || snap.CacheEvictions != 1 {
+		t.Errorf("entries = %d, evictions = %d", snap.CacheEntries, snap.CacheEvictions)
 	}
 	if snap.LatencyP50US <= 0 {
 		t.Errorf("p50 = %d", snap.LatencyP50US)
@@ -84,7 +84,7 @@ func TestMetricsConcurrentObserve(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	snap := m.Snapshot(0)
+	snap := m.Snapshot(coalesce.TableStats{})
 	if snap.Requests != 8000 {
 		t.Errorf("requests = %d, want 8000", snap.Requests)
 	}

@@ -121,11 +121,10 @@ func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	// The new champion is live: flush the model-dependent memo tables
-	// (detector scores, target results) so no request is answered from
-	// the predecessor's work. Analysis and feature memos are
+	// The new champion is live: flush the verdict table so no request
+	// is answered from the predecessor's work. Page analyses are
 	// model-independent and survive the swap.
-	s.coal.InvalidateModel()
+	s.memo.InvalidateModel()
 	resp.Promoted = true
 	s.reply(w, http.StatusOK, resp)
 }

@@ -37,50 +37,35 @@ func (s *Server) writePrometheus(w http.ResponseWriter) {
 	p.Counter("knowphish_requests_cancelled_total", "Requests cut short by client disconnect.", float64(m.cancelled.Load()))
 	p.Counter("knowphish_streamed_items_total", "Result lines delivered on the streaming endpoint.", float64(m.streamed.Load()))
 
-	// Verdict cache.
-	p.Counter("knowphish_cache_hits_total", "Verdict-cache hits.", float64(m.cacheHits.Load()))
-	p.Counter("knowphish_cache_misses_total", "Verdict-cache misses.", float64(m.cacheMiss.Load()))
-	p.Gauge("knowphish_cache_entries", "Verdict-cache entries resident.", float64(s.cacheLen()))
-	if s.cache != nil {
-		p.Counter("knowphish_cache_evictions_total", "Verdict-cache evictions.", float64(s.cache.Evictions()))
+	// Memo tables: the verdict table keeps the historical cache_*
+	// names; both tables report under knowphish_memo_*.
+	ms := s.memo.Snapshot()
+	p.Counter("knowphish_cache_hits_total", "Verdict-table hits.", float64(ms.Verdict.Hits))
+	p.Counter("knowphish_cache_misses_total", "Verdict-table misses.", float64(ms.Verdict.Misses))
+	p.Gauge("knowphish_cache_entries", "Verdict-table entries resident.", float64(ms.Verdict.Entries))
+	p.Counter("knowphish_cache_evictions_total", "Verdict-table evictions.", float64(ms.Verdict.Evictions))
+	tables := []struct {
+		name string
+		st   coalesce.TableStats
+	}{
+		{"analysis", ms.Analysis},
+		{"verdict", ms.Verdict},
 	}
-
-	// Scoring coalescer and per-stage memo tables.
-	if s.coal != nil {
-		cs := s.coal.Snapshot()
-		p.Counter("knowphish_coalesce_batches_total", "Coalesced scoring passes run.", float64(cs.Batches))
-		p.Counter("knowphish_coalesce_batched_items_total", "Requests scored through coalesced passes.", float64(cs.BatchedItems))
-		p.Counter("knowphish_coalesce_bypassed_total", "Requests routed around the coalescer (explain or feature-masked).", float64(cs.Bypassed))
-		p.FamilyL("knowphish_coalesce_flush_total", "Coalesced passes by flush trigger.", "counter", []obs.LabeledSample{
-			{Labels: []obs.Label{{Name: "reason", Value: "adaptive"}}, Value: float64(cs.FlushAdaptive)},
-			{Labels: []obs.Label{{Name: "reason", Value: "full"}}, Value: float64(cs.FlushFull)},
-			{Labels: []obs.Label{{Name: "reason", Value: "timer"}}, Value: float64(cs.FlushTimer)},
-		})
-		tables := []struct {
-			name string
-			st   coalesce.TableStats
-		}{
-			{"analysis", cs.Analysis},
-			{"features", cs.Features},
-			{"score", cs.Score},
-			{"target", cs.Target},
-		}
-		hits := make([]obs.LabeledSample, 0, len(tables))
-		misses := make([]obs.LabeledSample, 0, len(tables))
-		evictions := make([]obs.LabeledSample, 0, len(tables))
-		entries := make([]obs.LabeledSample, 0, len(tables))
-		for _, t := range tables {
-			l := []obs.Label{{Name: "table", Value: t.name}}
-			hits = append(hits, obs.LabeledSample{Labels: l, Value: float64(t.st.Hits)})
-			misses = append(misses, obs.LabeledSample{Labels: l, Value: float64(t.st.Misses)})
-			evictions = append(evictions, obs.LabeledSample{Labels: l, Value: float64(t.st.Evictions)})
-			entries = append(entries, obs.LabeledSample{Labels: l, Value: float64(t.st.Entries)})
-		}
-		p.FamilyL("knowphish_memo_hits_total", "Per-stage memo-table hits.", "counter", hits)
-		p.FamilyL("knowphish_memo_misses_total", "Per-stage memo-table misses.", "counter", misses)
-		p.FamilyL("knowphish_memo_evictions_total", "Per-stage memo-table LRU evictions.", "counter", evictions)
-		p.FamilyL("knowphish_memo_entries", "Per-stage memo-table entries resident.", "gauge", entries)
+	hits := make([]obs.LabeledSample, 0, len(tables))
+	misses := make([]obs.LabeledSample, 0, len(tables))
+	evictions := make([]obs.LabeledSample, 0, len(tables))
+	entries := make([]obs.LabeledSample, 0, len(tables))
+	for _, t := range tables {
+		l := []obs.Label{{Name: "table", Value: t.name}}
+		hits = append(hits, obs.LabeledSample{Labels: l, Value: float64(t.st.Hits)})
+		misses = append(misses, obs.LabeledSample{Labels: l, Value: float64(t.st.Misses)})
+		evictions = append(evictions, obs.LabeledSample{Labels: l, Value: float64(t.st.Evictions)})
+		entries = append(entries, obs.LabeledSample{Labels: l, Value: float64(t.st.Entries)})
 	}
+	p.FamilyL("knowphish_memo_hits_total", "Memo-table hits.", "counter", hits)
+	p.FamilyL("knowphish_memo_misses_total", "Memo-table misses.", "counter", misses)
+	p.FamilyL("knowphish_memo_evictions_total", "Memo-table LRU evictions.", "counter", evictions)
+	p.FamilyL("knowphish_memo_entries", "Memo-table entries resident.", "gauge", entries)
 
 	// Request latency histograms.
 	p.Histogram("knowphish_request_duration_seconds", "Scoring-endpoint request latency.", &m.latency)

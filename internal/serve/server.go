@@ -34,9 +34,9 @@
 // promotion is picked up by the next request — one atomic load, no lock
 // on the hot path, no restart, and in-flight requests finish on the
 // model they started with. Every verdict and stored record is stamped
-// with the model_version that produced it, and cached verdicts are
+// with the model_version that produced it, and memoized verdicts are
 // version-gated so a promoted model is never shadowed by its
-// predecessor's cache entries.
+// predecessor's entries.
 //
 // Every scoring path is context-aware end to end: the request context
 // (plus an optional per-request deadline) reaches the pipeline through
@@ -48,10 +48,10 @@
 //
 // Scoring fans out over the shared worker-pool primitive
 // (internal/pool) under a server-wide concurrency bound, so a burst of
-// concurrent batches cannot oversubscribe the cores. A sharded LRU
-// cache keyed by landing URL plus a content fingerprint absorbs
-// repeated lookups of the same page — phishing campaigns funnel many
-// lures to one landing page — without letting one client's submission
+// concurrent batches cannot oversubscribe the cores. The memo
+// (internal/coalesce) absorbs repeated lookups of the same page —
+// phishing campaigns funnel many lures to one landing page. It keys on
+// the landing URL plus the content, so one client's submission cannot
 // define the verdict for a URL it does not own.
 package serve
 
@@ -87,8 +87,6 @@ import (
 
 // Defaults for Config zero values.
 const (
-	// DefaultCacheSize is the total verdict-cache capacity in entries.
-	DefaultCacheSize = 4096
 	// DefaultMaxBatch bounds the page count of one batch request and
 	// the item count of one stream request.
 	DefaultMaxBatch = 1024
@@ -125,8 +123,9 @@ type Config struct {
 	// Workers bounds concurrent pipeline executions across the whole
 	// server and caps the per-batch fan-out (0 → GOMAXPROCS).
 	Workers int
-	// CacheSize is the verdict-cache capacity in entries
-	// (0 → DefaultCacheSize, negative → caching disabled).
+	// CacheSize is the capacity of each memo table — verdicts and page
+	// analyses, keyed by webpage.ContentKey (0 → coalesce.DefaultEntries,
+	// negative → memoization disabled).
 	CacheSize int
 	// MaxBatch bounds pages per batch or stream request
 	// (0 → DefaultMaxBatch).
@@ -137,26 +136,11 @@ type Config struct {
 	// request does not set its own deadline_ms (0 → no deadline). It
 	// bounds pipeline work, not time spent queued for a worker slot.
 	DefaultDeadline time.Duration
-	// CoalesceWindow bounds how long the scoring coalescer waits to
-	// gather concurrent requests into one batched ensemble traversal
-	// (0 → coalesce.DefaultWindow; negative → coalescing disabled,
-	// every request scores through the per-request path). A lone
-	// request never pays the window: the coalescer flushes as soon as
-	// no other request is on its way.
-	CoalesceWindow time.Duration
-	// CoalesceMax caps one coalesced pass (0 → coalesce.DefaultMaxBatch).
-	CoalesceMax int
-	// MemoEntries is the capacity of each per-stage memo table —
-	// analysis, feature vector, detector score, target result — keyed
-	// by content fingerprint (0 → coalesce.DefaultMemoEntries;
-	// negative → memoization disabled while batching stays on).
-	MemoEntries int
-	// Coalescer optionally injects a pre-built scoring coalescer shared
-	// with other subsystems (kpserve scores the feed drain through the
-	// same one, so feed traffic warms the HTTP surface's memo tables and
-	// vice versa). When nil, the server builds its own from
-	// CoalesceWindow / CoalesceMax / MemoEntries.
-	Coalescer *coalesce.Coalescer
+	// Memo optionally injects a pre-built memo shared with other
+	// subsystems (kpserve scores the feed drain through the same one, so
+	// feed traffic warms the HTTP surface's tables and vice versa). When
+	// nil, the server builds its own from CacheSize.
+	Memo *coalesce.Memo
 	// DefaultExplain is the explain level applied when a v2 request
 	// does not set one. v1 adapters never explain (their wire format
 	// predates evidence).
@@ -213,15 +197,9 @@ type Server struct {
 	defaultDeadline time.Duration
 	defaultExplain  core.ExplainLevel
 	explainTopN     int
-	cache           *verdictCache
-	// coal is the cross-request scoring coalescer: concurrent score
-	// calls batch into one node-major ensemble traversal, with
-	// per-stage content-addressed memoization layered on top. The
-	// verdict cache above is L1 (whole outcomes by URL + content); the
-	// coalescer's memo tables are L2 (per-stage results by content
-	// alone). Nil when coalescing is disabled — every call site goes
-	// through coal.Do, which nil-degrades to a plain AnalyzeCtx.
-	coal *coalesce.Coalescer
+	// memo is the verdict table and the analysis table every scoring
+	// path goes through.
+	memo *coalesce.Memo
 	// defaultOpts / defaultOptsSkip / v1Opts are the hoisted option
 	// slices of the common request shapes, built once in New so the
 	// hot paths never rebuild (and re-allocate) them per request.
@@ -315,14 +293,9 @@ func New(cfg Config) (*Server, error) {
 		s.maxBody = DefaultMaxBodyBytes
 	}
 	s.scoreSem = make(chan struct{}, s.workers)
-	s.coal = cfg.Coalescer
-	if s.coal == nil && cfg.CoalesceWindow >= 0 {
-		s.coal = coalesce.New(coalesce.Config{
-			Window:      cfg.CoalesceWindow,
-			MaxBatch:    cfg.CoalesceMax,
-			MemoEntries: cfg.MemoEntries,
-			Workers:     s.workers,
-		})
+	s.memo = cfg.Memo
+	if s.memo == nil {
+		s.memo = coalesce.New(cfg.CacheSize)
 	}
 	// Hoist the option slices of the common request shapes: an
 	// option-free v2 request, the same with skip_target, and the v1
@@ -337,13 +310,6 @@ func New(cfg Config) (*Server, error) {
 	s.defaultOptsSkip = append(append([]core.ScoreOption{}, s.defaultOpts...), core.WithoutTargetID())
 	if s.defaultDeadline > 0 {
 		s.v1Opts = []core.ScoreOption{core.WithDeadline(s.defaultDeadline)}
-	}
-	if cfg.CacheSize >= 0 {
-		size := cfg.CacheSize
-		if size == 0 {
-			size = DefaultCacheSize
-		}
-		s.cache = newVerdictCache(size)
 	}
 	// Endpoint classes group routes for windowed latency, SLO
 	// observation and admission control (see admission.go). The
@@ -418,10 +384,9 @@ func (s *Server) pipeline() (*core.Pipeline, error) {
 // Metrics returns a snapshot of the serving counters, including feed,
 // store and model-lifecycle stats when those subsystems are wired in.
 func (s *Server) Metrics() MetricsSnapshot {
-	snap := s.metrics.Snapshot(s.cacheLen())
-	if s.cache != nil {
-		snap.CacheEvictions = s.cache.Evictions()
-	}
+	ms := s.memo.Snapshot()
+	snap := s.metrics.Snapshot(ms.Verdict)
+	snap.Coalesce = &ms
 	if det := s.source.Current(); det != nil {
 		snap.ModelVersion = det.Version()
 	}
@@ -439,10 +404,6 @@ func (s *Server) Metrics() MetricsSnapshot {
 	if s.lifecycle != nil {
 		ls := s.lifecycle.Status()
 		snap.Lifecycle = &ls
-	}
-	if s.coal != nil {
-		cs := s.coal.Snapshot()
-		snap.Coalesce = &cs
 	}
 	if s.tracer != nil {
 		ts := s.tracer.Summary()
@@ -466,13 +427,6 @@ func (s *Server) Metrics() MetricsSnapshot {
 		snap.SLO = &st
 	}
 	return snap
-}
-
-func (s *Server) cacheLen() int {
-	if s.cache == nil {
-		return 0
-	}
-	return s.cache.Len()
 }
 
 // ---------------------------------------------------------------------
@@ -525,9 +479,9 @@ type ScoreResponse struct {
 	core.Outcome
 	// LandingURL identifies the scored page.
 	LandingURL string `json:"landing_url,omitempty"`
-	// Cached reports whether the verdict was reused — from the verdict
-	// cache, or from an identical landing URL earlier in the same batch
-	// — rather than freshly computed.
+	// Cached reports whether the verdict was reused from the memo's
+	// verdict table — including an identical page earlier in the same
+	// batch — rather than freshly computed.
 	Cached bool `json:"cached"`
 }
 
@@ -679,70 +633,30 @@ func (s *Server) boundedCtx(ctx context.Context, pri int, fn func()) error {
 	return nil
 }
 
-// scoreSnap scores one snapshot through the verdict cache and the
-// scoring coalescer with the given request options. It returns the
-// verdict, whether it was served from cache, and a context error
-// (cancellation or deadline) when scoring was cut short. cc governs
-// both cache layers: no-memo skips reads and writes, refresh skips
-// reads but overwrites. When prov is non-nil it receives the
-// coalescer's per-stage provenance (zero on a verdict-cache hit or
-// with coalescing disabled).
-//
-// Explain requests always recompute: the cache stores bare outcomes,
-// not per-feature evidence, and explanation cost is exactly what the
-// client opted into. They touch no hit/miss counters (they can never
-// hit, and counting them as misses would depress a rate no cache
-// sizing could fix) but still refresh the cached outcome.
-func (s *Server) scoreSnap(ctx context.Context, pri int, pipe *core.Pipeline, snap *webpage.Snapshot, req core.ScoreRequest, cc coalesce.CacheControl, prov *core.MemoProvenance) (core.Verdict, bool, error) {
-	version := pipe.Detector.Version()
-	// The key is built into a pooled buffer and looked up as bytes; a
-	// string is only materialized when an outcome is actually stored, so
-	// the dominant outcomes of this function — a cache hit, or a miss on
-	// an uncacheable page — never put the key on the heap.
-	var keyBuf *[]byte
-	if s.cache != nil && cc != coalesce.CacheNoMemo {
-		keyBuf = keyPool.Get().(*[]byte)
-		if err := s.boundedCtx(ctx, pri, func() { *keyBuf = appendCacheKey((*keyBuf)[:0], snap) }); err != nil {
-			putKeyBuf(keyBuf)
-			return core.Verdict{}, false, err
-		}
-		if len(*keyBuf) != 0 && !req.Explains() && cc == coalesce.CacheDefault {
-			// Hits are version-gated: after a champion hot-swap, entries
-			// scored by the predecessor read as misses and the page is
-			// re-scored by the model actually serving.
-			if out, fp, ok := s.cache.GetBytes(*keyBuf, version); ok {
-				putKeyBuf(keyBuf)
-				s.metrics.cacheHits.Add(1)
-				v := core.MakeVerdict(out, pipe.Detector.Threshold())
-				v.ModelVersion = version
-				v.ContentFingerprint = fp
-				return v, true, nil
-			}
-			s.metrics.cacheMiss.Add(1)
-		}
-	}
+// scoreSnap scores one snapshot through the memo (coalesce.Memo.Do
+// states the per-request read/write rules) with the given request
+// options. It returns the verdict, whether it was served from the
+// verdict table, and a context error (cancellation or deadline) when
+// scoring was cut short.
+func (s *Server) scoreSnap(ctx context.Context, pri int, pipe *core.Pipeline, req core.ScoreRequest, cc coalesce.CacheControl) (core.Verdict, bool, error) {
+	return s.scoreKey(ctx, pri, pipe, req, cc, webpage.ContentKey(req.Snapshot))
+}
+
+// scoreKey is scoreSnap for a caller that already holds the page key.
+func (s *Server) scoreKey(ctx context.Context, pri int, pipe *core.Pipeline, req core.ScoreRequest, cc coalesce.CacheControl, key webpage.Key128) (core.Verdict, bool, error) {
 	var v core.Verdict
+	var cached bool
 	var err error
-	if berr := s.boundedCtx(ctx, pri, func() { v, err = s.coal.Do(ctx, pipe, req, cc, prov) }); berr != nil {
+	if berr := s.boundedCtx(ctx, pri, func() { v, cached, err = s.memo.DoKey(ctx, pipe, req, cc, key) }); berr != nil {
 		err = berr
 	}
 	if err != nil {
-		if keyBuf != nil {
-			putKeyBuf(keyBuf)
-		}
 		return core.Verdict{}, false, err
 	}
-	s.recordOutcome(v.Outcome)
-	// A skip_target verdict is partial (no FP-removal pass); caching it
-	// would hand later full requests a weaker outcome than they asked
-	// for. Such requests may read the cache but never define it.
-	if keyBuf != nil {
-		if !req.SkipsTarget() {
-			s.cache.Put(string(*keyBuf), v.Outcome, version, v.ContentFingerprint)
-		}
-		putKeyBuf(keyBuf)
+	if !cached {
+		s.recordOutcome(v.Outcome)
 	}
-	return v, false, nil
+	return v, cached, nil
 }
 
 // failCtx converts a scoring context error into a response: an expired
@@ -787,7 +701,7 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, err)
 		return
 	}
-	v, cached, err := s.scoreSnap(ctx, prioInteractive, pipe, snap, core.NewScoreRequest(snap, s.v1Opts...), coalesce.CacheDefault, nil)
+	v, cached, err := s.scoreSnap(ctx, prioInteractive, pipe, core.NewScoreRequest(snap, s.v1Opts...), coalesce.CacheDefault)
 	if err != nil {
 		s.failCtx(w, err)
 		return
@@ -795,38 +709,28 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 	s.reply(w, http.StatusOK, ScoreResponse{Outcome: v.Outcome, LandingURL: snap.LandingURL, Cached: cached})
 }
 
-// analyzeBatch fans snapshots out over the worker pool; every execution
-// still passes through the server-wide scoring bound and observes ctx
-// between items. It returns the outcomes, or the first context error
-// once the batch was cut short. The whole batch scores on one pipe — a
-// hot-swap mid-batch must not split a batch across models.
-//
-// Items score through the coalescer, so the concurrent fan-out below
-// folds into node-major kernel passes (and shares the memo tables with
-// every other scoring path) while the v1 wire format stays byte for
-// byte what the per-request path produced — outcomes are bit-identical
-// by construction, pinned by the goldens.
-func (s *Server) analyzeBatch(ctx context.Context, pri int, pipe *core.Pipeline, snaps []*webpage.Snapshot, workers int) ([]core.Outcome, error) {
-	out := make([]core.Outcome, len(snaps))
-	errs := make([]error, len(snaps))
-	poolErr := pool.ForEachIndexCtx(ctx, len(snaps), workers, func(i int) {
-		if berr := s.boundedCtx(ctx, pri, func() {
-			v, err := s.coal.Do(ctx, pipe, core.NewScoreRequest(snaps[i], s.v1Opts...), coalesce.CacheDefault, nil)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			out[i] = v.Outcome
-		}); berr != nil {
-			errs[i] = berr
+// scoreBatchV1 scores the pages at idx over the worker pool into
+// results; every execution passes through the server-wide scoring bound
+// and observes ctx. It returns the first context error once the batch
+// was cut short. The whole batch scores on one pipe — a hot-swap
+// mid-batch must not split a batch across models.
+func (s *Server) scoreBatchV1(ctx context.Context, pipe *core.Pipeline, snaps []*webpage.Snapshot, keys []webpage.Key128, idx []int, workers int, results []ScoreResponse) error {
+	errs := make([]error, len(idx))
+	poolErr := pool.ForEachIndexCtx(ctx, len(idx), workers, func(j int) {
+		i := idx[j]
+		v, cached, err := s.scoreKey(ctx, prioBatch, pipe, core.NewScoreRequest(snaps[i], s.v1Opts...), coalesce.CacheDefault, keys[i])
+		if err != nil {
+			errs[j] = err
+			return
 		}
+		results[i] = ScoreResponse{Outcome: v.Outcome, LandingURL: snaps[i].LandingURL, Cached: cached}
 	})
 	for _, err := range errs {
 		if err != nil {
-			return out, err
+			return err
 		}
 	}
-	return out, poolErr
+	return poolErr
 }
 
 func (s *Server) handleScoreBatch(w http.ResponseWriter, r *http.Request) {
@@ -850,7 +754,6 @@ func (s *Server) handleScoreBatch(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusServiceUnavailable, err)
 		return
 	}
-	version := pipe.Detector.Version()
 	ctx := r.Context()
 	// One fan-out width for the whole request: the client's workers
 	// field caps every stage, not just scoring.
@@ -861,11 +764,17 @@ func (s *Server) handleScoreBatch(w http.ResponseWriter, r *http.Request) {
 
 	// Snapshot resolution parses HTML and is the dominant pre-scoring
 	// cost of a raw-HTML batch; doing it serially would bound batch
-	// throughput no matter how many workers score. Fan it out too.
+	// throughput no matter how many workers score. Fan it out too, and
+	// take each page's memo key on the way.
 	snaps := make([]*webpage.Snapshot, len(req.Pages))
+	keys := make([]webpage.Key128, len(req.Pages))
 	pageErrs := make([]error, len(req.Pages))
 	if err := pool.ForEachIndexCtx(ctx, len(req.Pages), workers, func(i int) {
-		if berr := s.boundedCtx(ctx, prioBatch, func() { snaps[i], pageErrs[i] = req.Pages[i].snapshot() }); berr != nil {
+		if berr := s.boundedCtx(ctx, prioBatch, func() {
+			if snaps[i], pageErrs[i] = req.Pages[i].snapshot(); pageErrs[i] == nil {
+				keys[i] = webpage.ContentKey(snaps[i])
+			}
+		}); berr != nil {
 			pageErrs[i] = berr
 		}
 	}); err != nil {
@@ -883,104 +792,28 @@ func (s *Server) handleScoreBatch(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
+	// Identical pages score once: campaigns funnel many lures to one
+	// landing page. The first copy of each page key scores in the first
+	// pass; the repeats score after it, as verdict-table hits. With the
+	// memo disabled (or for pages without a landing URL, which never
+	// enter the verdict table) the repeats simply score again.
+	seen := make(map[webpage.Key128]bool, len(snaps))
+	var first, repeats []int
+	for i, k := range keys {
+		if seen[k] {
+			repeats = append(repeats, i)
+			continue
+		}
+		seen[k] = true
+		first = append(first, i)
+	}
 	results := make([]ScoreResponse, len(snaps))
-	// Cache keys are only needed — and only computed — when caching is
-	// enabled; with it disabled there is nothing to look up or dedupe.
-	var keys []string
-	if s.cache != nil {
-		keys = make([]string, len(snaps))
-		if err := pool.ForEachIndexCtx(ctx, len(snaps), workers, func(i int) {
-			_ = s.boundedCtx(ctx, prioBatch, func() { keys[i] = cacheKey(snaps[i]) })
-		}); err != nil {
+	for _, idx := range [][]int{first, repeats} {
+		// v1 has no per-item error slot: a deadline anywhere fails the
+		// batch (504), a disconnect just stops the work.
+		if err := s.scoreBatchV1(ctx, pipe, snaps, keys, idx, workers, results); err != nil {
 			s.failCtx(w, err)
 			return
-		}
-	}
-	// Serve cache hits first, then fan the misses out over the worker
-	// pool under the server-wide scoring bound. Within-batch duplicates
-	// count as cache hits below, so cache_hit_rate matches the reuse
-	// the client observes in the cached response flags.
-	var missIdx []int
-	if s.cache != nil {
-		for i, snap := range snaps {
-			if out, _, ok := s.cache.Get(keys[i], version); ok {
-				s.metrics.cacheHits.Add(1)
-				results[i] = ScoreResponse{Outcome: out, LandingURL: snap.LandingURL, Cached: true}
-			} else {
-				missIdx = append(missIdx, i)
-			}
-		}
-	} else {
-		missIdx = make([]int, len(snaps))
-		for i := range snaps {
-			missIdx[i] = i
-		}
-	}
-	if len(missIdx) > 0 {
-		// Dedupe misses sharing a cache key — identical pages, since
-		// the key fingerprints the content: campaigns funnel many lures
-		// to one landing page, and scoring it once per batch is the
-		// same verdict-reuse assumption the cache makes. It therefore
-		// only applies while caching is enabled; with the cache
-		// disabled every page scores individually (uniq is missIdx
-		// itself, no bookkeeping), and uncacheable pages always do.
-		uniq := missIdx
-		var resultAt []int // per missIdx entry: position in uniq; nil = identity
-		if s.cache != nil {
-			firstAt := make(map[string]int, len(missIdx))
-			resultAt = make([]int, 0, len(missIdx))
-			uniq = make([]int, 0, len(missIdx))
-			for _, i := range missIdx {
-				// Uncacheable pages (empty key) touch no counters: they
-				// can never hit, and counting them as misses would
-				// depress a hit rate no cache sizing could fix.
-				if key := keys[i]; key != "" {
-					if j, ok := firstAt[key]; ok {
-						resultAt = append(resultAt, j)
-						s.metrics.cacheHits.Add(1)
-						continue
-					}
-					firstAt[key] = len(uniq)
-					s.metrics.cacheMiss.Add(1)
-				}
-				resultAt = append(resultAt, len(uniq))
-				uniq = append(uniq, i)
-			}
-		}
-		missSnaps := make([]*webpage.Snapshot, len(uniq))
-		for j, i := range uniq {
-			missSnaps[j] = snaps[i]
-		}
-		outcomes, err := s.analyzeBatch(ctx, prioBatch, pipe, missSnaps, workers)
-		if err != nil {
-			// v1 has no per-item error slot: a deadline anywhere fails
-			// the batch (504), a disconnect just stops the work.
-			s.failCtx(w, err)
-			return
-		}
-		for _, out := range outcomes {
-			s.recordOutcome(out)
-		}
-		if s.cache != nil {
-			for j, i := range uniq {
-				// The v1 batch path caches outcomes without a fingerprint:
-				// its wire format never surfaces one, and a later v2 hit on
-				// the same key simply responds without an ETag.
-				s.cache.Put(keys[i], outcomes[j], version, "")
-			}
-		}
-		for k, i := range missIdx {
-			j := k
-			if resultAt != nil {
-				j = resultAt[k]
-			}
-			results[i] = ScoreResponse{
-				Outcome:    outcomes[j],
-				LandingURL: snaps[i].LandingURL,
-				// A within-batch duplicate reused an identical page's
-				// verdict and reports so, like a verdict-cache hit.
-				Cached: uniq[j] != i,
-			}
 		}
 	}
 	s.metrics.scoreBatch.Observe(time.Since(t0))
@@ -1226,7 +1059,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		GoVersion:     buildGoVersion,
 		VCSRevision:   buildVCSRevision,
 		Workers:       s.workers,
-		CacheEnabled:  s.cache != nil,
+		CacheEnabled:  s.memo.Enabled(),
 		FeedEnabled:   s.feed != nil,
 		StoreEnabled:  s.store != nil,
 	}

@@ -32,10 +32,10 @@ type ScoreOptions struct {
 	// SkipTarget skips target identification even for detector
 	// positives: cheaper, raw detector call only.
 	SkipTarget bool `json:"skip_target,omitempty"`
-	// CacheControl selects how the request interacts with the verdict
-	// cache and the per-stage memo tables: "default" (or absent) reads
-	// and writes, "no-memo" neither reads nor writes, "refresh"
-	// recomputes every stage and overwrites — the forced revalidation.
+	// CacheControl selects how the request interacts with the memo's
+	// verdict and analysis tables: "default" (or absent) reads and
+	// writes, "no-memo" neither reads nor writes, "refresh" recomputes
+	// every stage and overwrites — the forced revalidation.
 	CacheControl string `json:"cache_control,omitempty"`
 }
 
@@ -123,7 +123,8 @@ func (s *Server) coreOptions(o ScoreOptions) ([]core.ScoreOption, coalesce.Cache
 }
 
 // scoreETag derives the entity tag of a verdict: the page's content
-// fingerprint plus the model generation that scored it. The same page
+// fingerprint (the hex webpage.ContentKey, which covers the landing URL
+// and the content) plus the model generation that scored it. The same page
 // under the same champion always carries the same tag; a promotion
 // changes every tag, so clients revalidate exactly when verdicts can
 // change.
@@ -176,14 +177,10 @@ func (s *Server) handleScoreV2(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, err)
 		return
 	}
-	var prov core.MemoProvenance
-	v, cached, err := s.scoreSnap(ctx, prioInteractive, pipe, snap, core.NewScoreRequest(snap, opts...), cc, &prov)
+	v, cached, err := s.scoreSnap(ctx, prioInteractive, pipe, core.NewScoreRequest(snap, opts...), cc)
 	if err != nil {
 		s.failCtx(w, err)
 		return
-	}
-	if prov != (core.MemoProvenance{}) {
-		v.Memo = &prov
 	}
 	if etag := scoreETag(&v); etag != "" {
 		w.Header().Set("ETag", etag)
@@ -200,8 +197,7 @@ func (s *Server) handleScoreV2(w http.ResponseWriter, r *http.Request) {
 }
 
 // V2BatchRequest scores many pages in one call on the v2 surface. The
-// embedded options apply to every page; concurrent items coalesce into
-// shared node-major kernel passes.
+// embedded options apply to every page.
 type V2BatchRequest struct {
 	Pages []PageRequest `json:"pages"`
 	ScoreOptions
@@ -219,8 +215,7 @@ type V2BatchResponse struct {
 
 // handleScoreBatchV2 is the batch form of /v2/score: the same verdict
 // documents (fingerprints, memo provenance, cache semantics), fanned
-// out over the worker pool and funneled through the coalescer so the
-// batch scores in node-major passes. Like v1, a deadline or
+// out over the worker pool. Like v1, a deadline or
 // cancellation anywhere fails the whole batch — per-item failure
 // isolation is what /v2/score/stream is for.
 func (s *Server) handleScoreBatchV2(w http.ResponseWriter, r *http.Request) {
@@ -277,16 +272,12 @@ func (s *Server) handleScoreBatchV2(w http.ResponseWriter, r *http.Request) {
 	}
 
 	out := make([]V2ScoreResponse, len(snaps))
-	provs := make([]core.MemoProvenance, len(snaps))
 	itemErrs := make([]error, len(snaps))
 	if err := pool.ForEachIndexCtx(ctx, len(snaps), workers, func(i int) {
-		v, cached, err := s.scoreSnap(ctx, prioBatch, pipe, snaps[i], core.NewScoreRequest(snaps[i], opts...), cc, &provs[i])
+		v, cached, err := s.scoreSnap(ctx, prioBatch, pipe, core.NewScoreRequest(snaps[i], opts...), cc)
 		if err != nil {
 			itemErrs[i] = err
 			return
-		}
-		if provs[i] != (core.MemoProvenance{}) {
-			v.Memo = &provs[i]
 		}
 		out[i] = V2ScoreResponse{Verdict: v, LandingURL: snaps[i].LandingURL, Cached: cached}
 	}); err != nil {

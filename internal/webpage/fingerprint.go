@@ -9,10 +9,11 @@ import (
 	"knowphish/internal/xxh"
 )
 
-// preimagePool recycles the canonical-encoding buffer AppendFingerprint
-// hashes. Fingerprints are computed per request on the serving hot path
-// (cache keys) and per record in the store, so the preimage — which can
-// be page-sized — must not be rebuilt on the heap each time.
+// preimagePool recycles the canonical-encoding buffer both page hashes
+// build. Content keys are computed per request on the serving hot path
+// (memo keys) and fingerprints per record in the store, so the
+// preimage — which can be page-sized — must not be rebuilt on the heap
+// each time.
 var preimagePool = sync.Pool{
 	New: func() any {
 		b := make([]byte, 0, 4<<10)
@@ -26,12 +27,13 @@ var preimagePool = sync.Pool{
 const maxPooledPreimage = 1 << 20
 
 // Fingerprint hashes every content field of a snapshot into a stable hex
-// digest. Two snapshots share a fingerprint exactly when a browser
-// recorded identical data sources for them, so a fingerprint plus the
-// landing URL identifies "the same page" for verdict reuse: the serving
-// cache keys on it, and the verdict store uses it to decide when a newer
-// verdict supersedes an older one for the same landing URL. sha256 keeps
-// the identity collision-resistant even against adversarial content.
+// sha256 digest. The landing URL is not part of it: two snapshots share
+// a fingerprint exactly when a browser recorded identical data sources
+// for them. This is the persisted identity — the verdict store records
+// it and uses it, next to the landing URL, to decide when a newer
+// verdict supersedes an older one. sha256 keeps the identity
+// collision-resistant even against adversarial content. The in-memory
+// memo and the v2 ETag use ContentKey instead.
 func Fingerprint(snap *Snapshot) string {
 	return string(AppendFingerprint(nil, snap))
 }
@@ -80,13 +82,15 @@ type Key128 struct {
 	Hi, Lo uint64
 }
 
-// ContentKey returns the memoization key of a snapshot: XXH64 over the
-// landing URL plus the canonical content preimage. The landing URL is
-// part of this key — unlike the sha256 fingerprint, which identifies
-// "the same recorded content" — because feature extraction reads the
-// landing URL, so two snapshots differing only there must not share
-// memoized stages. The preimage is built in a pooled buffer and hashed
-// on the stack; ContentKey never allocates.
+// ContentKey returns the page key of a snapshot: XXH64 over the landing
+// URL plus the canonical content preimage. It keys the memo's verdict
+// and analysis tables and the v1 batch dedupe, and its hex form is
+// Verdict.ContentFingerprint and the content half of the v2 ETag. The
+// landing URL is part of this key — unlike the sha256 Fingerprint,
+// which identifies "the same recorded content" — because feature
+// extraction reads the landing URL, so two snapshots differing only
+// there must not share a verdict. The preimage is built in a pooled
+// buffer and hashed on the stack; ContentKey never allocates.
 func ContentKey(snap *Snapshot) Key128 {
 	bp := preimagePool.Get().(*[]byte)
 	b := fpString((*bp)[:0], snap.LandingURL)

@@ -441,8 +441,8 @@ func AnalyzePage(s *Snapshot) *PageAnalysis { return webpage.Analyze(s) }
 // heap allocation.
 func WithAnalysis(a *PageAnalysis) ScoreOption { return core.WithAnalysis(a) }
 
-// Fingerprint hashes a snapshot's content fields into the stable page
-// identity used by the verdict cache and the store's compaction.
+// Fingerprint hashes a snapshot's content fields into the stable sha256
+// page identity the verdict store persists and compacts on.
 func Fingerprint(s *Snapshot) string { return webpage.Fingerprint(s) }
 
 // LoadSearchEngine restores an index saved with SearchEngine.Save (kpgen
